@@ -29,7 +29,8 @@ ExponentialThroughput general_ctmc_throughput(const Mapping& mapping,
   const TpnMarkovChain chain =
       explore_markings(graph, rates, method_options.reachability);
   const std::vector<double> freq =
-      stationary_frequencies(graph, chain, rates, method_options);
+      stationary_frequencies(graph, chain, rates, method_options,
+                             &result.solver);
   double min_row_rate = std::numeric_limits<double>::infinity();
   for (const std::size_t t : graph.last_column_transitions()) {
     result.throughput += freq[t];

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/stationary.hpp"
 #include "maxplus/deterministic.hpp"
 #include "model/mapping.hpp"
 #include "model/timing.hpp"
@@ -72,6 +73,8 @@ struct ExponentialThroughput {
   /// General-method diagnostics.
   std::size_t ctmc_states = 0;
   bool capacity_clipped = false;
+  /// The general method's stationary solve: back-end, sweeps and residual.
+  StationarySolveStats solver;
 };
 
 /// Exponential-case throughput (§5): all computation and communication

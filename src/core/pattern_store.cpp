@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -16,6 +18,10 @@
 namespace streamflow {
 
 namespace {
+
+/// v2: pattern rates above the dense threshold come from the Gauss–Seidel
+/// solve, so v1 rates would no longer match a cold solve bit for bit.
+constexpr std::string_view kSnapshotHeader = "streamflow-pattern-store v2";
 
 /// One snapshot row (and the unit the digest is computed over).
 struct StoredEntry {
@@ -215,7 +221,7 @@ std::vector<StoredEntry> collect_sorted(
 
 void PatternStore::save(std::ostream& os) const {
   const std::vector<StoredEntry> entries = collect_sorted(shards_);
-  os << "streamflow-pattern-store v1\n";
+  os << kSnapshotHeader << "\n";
   os << "entries " << entries.size() << "\n";
   for (const StoredEntry& entry : entries) {
     os << "entry " << entry.signature.u << " " << entry.signature.v << " "
@@ -250,12 +256,14 @@ std::size_t PatternStore::load(std::istream& is) {
 
   std::string text;
   if (!next_line(text)) {
-    fail("missing header (expected 'streamflow-pattern-store v1')");
+    fail("missing header (expected '" + std::string(kSnapshotHeader) + "')");
   }
-  if (text != "streamflow-pattern-store v1") {
-    if (text.rfind("streamflow-pattern-store ", 0) == 0) {
-      fail("unsupported snapshot version '" + text.substr(25) +
-           "' (this build reads v1)");
+  if (text != kSnapshotHeader) {
+    constexpr std::size_t kVersionAt = kSnapshotHeader.rfind(' ') + 1;
+    if (text.rfind(kSnapshotHeader.substr(0, kVersionAt), 0) == 0) {
+      fail("unsupported snapshot version '" + text.substr(kVersionAt) +
+           "' (this build reads " +
+           std::string(kSnapshotHeader.substr(kVersionAt)) + ")");
     }
     fail("not a pattern-store snapshot (got '" + text + "')");
   }

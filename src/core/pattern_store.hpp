@@ -25,7 +25,7 @@
 // with the shard count.
 //
 // Persistence: save()/load() serialize the entries as a versioned
-// line-oriented text snapshot ("streamflow-pattern-store v1") with every
+// line-oriented text snapshot ("streamflow-pattern-store v2") with every
 // double spelled as its 16-digit hex bit pattern (bit-exact round-trips, no
 // decimal parsing) and a trailing FNV-1a digest over the sorted entries.
 // Snapshots are sorted by (u, v, duration bits), so a store's snapshot is

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -34,57 +36,84 @@ Vector stationary_dense(const DenseMatrix& q) {
   return pi;
 }
 
-Vector stationary_uniformized(const CsrMatrix& q_offdiag,
-                              const StationaryOptions& options,
-                              StationarySolveStats* stats) {
-  SF_REQUIRE(q_offdiag.rows() == q_offdiag.cols(), "generator must be square");
-  const std::size_t n = q_offdiag.rows();
-  SF_REQUIRE(n > 0, "generator must be non-empty");
+namespace {
 
-  // Exit rates = row sums of off-diagonals.
-  std::vector<double> exit(n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = q_offdiag.row_begin(r); k < q_offdiag.row_end(r); ++k)
-      acc += q_offdiag.values()[k];
-    exit[r] = acc;
+/// || pi Q ||_1 over an in-edge generator.
+double in_edge_residual(const InEdgeGenerator& q, const Vector& pi) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < pi.size(); ++j) {
+    double r = -pi[j] * q.exit[j];
+    for (std::uint32_t k = q.offset[j]; k < q.offset[j + 1]; ++k)
+      r += pi[q.source[k]] * q.rate[k];
+    acc += std::fabs(r);
   }
-  const double lambda =
-      1.001 * (*std::max_element(exit.begin(), exit.end())) + 1e-12;
+  return acc;
+}
 
-  // pi <- pi P, P = I + Q / lambda; i.e.
-  // pi'[j] = pi[j] (1 - exit[j]/lambda) + sum_i pi[i] q[i][j] / lambda.
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n, 0.0);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    for (std::size_t j = 0; j < n; ++j)
-      next[j] = pi[j] * (1.0 - exit[j] / lambda);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double w = pi[r] / lambda;
-      if (w == 0.0) continue;
-      for (std::size_t k = q_offdiag.row_begin(r); k < q_offdiag.row_end(r);
-           ++k)
-        next[q_offdiag.col_index()[k]] += w * q_offdiag.values()[k];
+}  // namespace
+
+Vector stationary_gauss_seidel(const InEdgeGenerator& q,
+                               const StationaryOptions& options,
+                               StationarySolveStats* stats) {
+  const std::size_t n = q.num_states();
+  SF_REQUIRE(n > 0, "generator must be non-empty");
+  SF_REQUIRE(options.max_iterations > 0, "need at least one sweep");
+  SF_REQUIRE(q.offset.size() == n + 1 && q.source.size() == q.rate.size() &&
+                 q.offset[n] == q.source.size(),
+             "malformed in-edge generator");
+  StationarySolveStats done;
+  done.backend = StationaryBackend::kGaussSeidel;
+  Vector pi(n, 1.0 / static_cast<double>(n));
+  if (n == 1) {
+    if (stats != nullptr) *stats = done;
+    return pi;
+  }
+  double max_exit = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!(q.exit[j] > 0.0)) {
+      throw NumericalError("stationary_gauss_seidel: state " +
+                           std::to_string(j) +
+                           " has no exit rate; the chain is not irreducible");
     }
-    double diff = 0.0;
+    max_exit = std::max(max_exit, q.exit[j]);
+  }
+
+  const std::uint32_t* offset = q.offset.data();
+  const std::uint32_t* source = q.source.data();
+  const double* rate = q.rate.data();
+  double residual = 0.0;
+  for (std::size_t sweep = 1; sweep <= options.max_iterations; ++sweep) {
+    // In place: in-edges from states already swept read this sweep's values.
+    // The residual of the swept vector at j is sum_{i > j} (pi_i' - pi_i)
+    // q_ij, so sum_i exit_i |pi_i' - pi_i| bounds its L1 norm.
+    double bound = 0.0;
     double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      diff += std::fabs(next[j] - pi[j]);
-      sum += next[j];
+      double inflow = 0.0;
+      for (std::uint32_t k = offset[j]; k < offset[j + 1]; ++k)
+        inflow += pi[source[k]] * rate[k];
+      const double next = inflow / q.exit[j];
+      bound += q.exit[j] * std::fabs(next - pi[j]);
+      pi[j] = next;
+      sum += next;
     }
-    // Renormalize to counter drift.
-    for (std::size_t j = 0; j < n; ++j) next[j] /= sum;
-    pi.swap(next);
-    if (diff < options.tolerance) {
-      if (stats != nullptr) {
-        stats->iterations = iter + 1;
-        stats->residual = diff;
+    for (double& p : pi) p /= sum;
+    const bool last = sweep == options.max_iterations;
+    if (bound / (sum * max_exit) < options.tolerance || last) {
+      residual = in_edge_residual(q, pi) / max_exit;
+      if (residual < options.tolerance) {
+        done.sweeps = sweep;
+        done.residual = residual;
+        if (stats != nullptr) *stats = done;
+        return pi;
       }
-      return pi;
     }
   }
-  throw NumericalError("stationary_uniformized did not converge within " +
-                       std::to_string(options.max_iterations) + " iterations");
+  std::ostringstream message;
+  message << "stationary_gauss_seidel did not converge (sweeps: "
+          << options.max_iterations << ", residual reached: " << residual
+          << ", tolerance: " << options.tolerance << ")";
+  throw NumericalError(message.str());
 }
 
 double stationary_residual(const DenseMatrix& q, const Vector& pi) {

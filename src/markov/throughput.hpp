@@ -13,17 +13,18 @@ namespace streamflow {
 
 struct GeneralMethodOptions {
   ReachabilityOptions reachability;
-  /// Below this state count the stationary solve is a dense LU; above, the
-  /// sparse uniformization power iteration.
-  std::size_t dense_threshold = 1200;
+  /// Chains up to this state count solve by dense LU; larger ones by
+  /// Gauss–Seidel sweeps over the in-edge generator. Set from the crossover
+  /// sweep of bench/sec77_runtime (Release, 4-thread AVX-512 host). On
+  /// heterogeneous pattern chains Gauss–Seidel is faster at every measured
+  /// size, 4 to 1,980 states (1.2x at 4, 6-9x at 105-182, 110-180x at
+  /// 1,260). On a line-shaped tandem chain, the slowest-mixing family, dense
+  /// LU is faster up to 121 states (0.8x), the two are within run-to-run
+  /// noise from 144 to 225 states, and Gauss–Seidel wins from 289 (1.4-1.9x).
+  /// The threshold sits at the low end of that band: there a tandem chain
+  /// loses little either way, while a pattern chain gains several-fold.
+  std::size_t dense_threshold = 160;
   StationaryOptions stationary;
-};
-
-/// Which stationary solver actually ran for a chain (the dense_threshold
-/// decision, surfaced for observability and the crossover tests).
-enum class StationaryBackend {
-  kDense,        ///< direct dense LU on the full generator
-  kUniformized,  ///< sparse uniformization + power iteration
 };
 
 struct GeneralMethodResult {
@@ -33,14 +34,8 @@ struct GeneralMethodResult {
   /// See TpnMarkovChain::capacity_clipped.
   bool capacity_clipped = false;
   /// The back-end the stationary solve dispatched to (num_states vs
-  /// dense_threshold).
-  StationaryBackend backend = StationaryBackend::kDense;
-  /// Power sweeps of the uniformized solve; 0 for the direct dense solve.
-  std::size_t solver_iterations = 0;
-  /// Solve-quality telemetry. Dense: the verification residual
-  /// || pi Q ||_1. Uniformized: the converged sweep's L1 change (strictly
-  /// under StationaryOptions::tolerance).
-  double solver_residual = 0.0;
+  /// dense_threshold), its sweeps and its normalized residual.
+  StationarySolveStats solver;
 };
 
 /// Exponential firing rates 1/duration for every transition of the graph.
@@ -57,11 +52,12 @@ std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
                                            const GeneralMethodOptions& options = {});
 
 /// Overload reusing an already-explored chain (avoids a second reachability
-/// pass when the caller needs the chain's metadata too).
-std::vector<double> stationary_frequencies(const TimedEventGraph& graph,
-                                           const TpnMarkovChain& chain,
-                                           const std::vector<double>& rates,
-                                           const GeneralMethodOptions& options = {});
+/// pass when the caller needs the chain's metadata too). A non-null `solver`
+/// receives the stationary solve's back-end, sweeps and residual.
+std::vector<double> stationary_frequencies(
+    const TimedEventGraph& graph, const TpnMarkovChain& chain,
+    const std::vector<double>& rates, const GeneralMethodOptions& options = {},
+    StationarySolveStats* solver = nullptr);
 
 /// Theorem 2's throughput: the summed frequency of `counted` transitions.
 GeneralMethodResult exponential_throughput_general(

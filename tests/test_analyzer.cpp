@@ -4,6 +4,7 @@
 
 #include "common/prng.hpp"
 #include "common/stats.hpp"
+#include "markov/throughput.hpp"
 #include "model/random_instance.hpp"
 #include "sim/teg_sim.hpp"
 #include "test_helpers.hpp"
@@ -147,6 +148,24 @@ TEST(Analyzer, StrictGeneralCtmcMatchesSimulation) {
   sim_options.rounds = 30'000;
   const auto sim = simulate_teg(g, transition_laws(g, timing), sim_options);
   EXPECT_LT(relative_difference(analytic.throughput, sim.throughput), 0.03);
+}
+
+TEST(Analyzer, GeneralCtmcCarriesSolverTelemetry) {
+  // A 1,008-state Strict chain: above dense_threshold, so the general
+  // method's result reports a Gauss–Seidel solve and its residual.
+  const Mapping mapping = testing::replicated_chain_mapping(2, 3, 1, 2.0, 1.0);
+  const auto r = exponential_throughput(mapping, ExecutionModel::kStrict);
+  EXPECT_EQ(r.method_used, ExponentialMethod::kGeneralCtmc);
+  EXPECT_GT(r.ctmc_states, GeneralMethodOptions{}.dense_threshold);
+  EXPECT_EQ(r.solver.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_GT(r.solver.sweeps, 0u);
+  EXPECT_LT(r.solver.residual, StationaryOptions{}.tolerance);
+
+  // A one-state chain stays on the dense solve: no sweeps.
+  const auto tiny = exponential_throughput(testing::chain_mapping({2.0}, {}),
+                                           ExecutionModel::kStrict);
+  EXPECT_EQ(tiny.solver.backend, StationaryBackend::kDense);
+  EXPECT_EQ(tiny.solver.sweeps, 0u);
 }
 
 TEST(Analyzer, NbueBoundsAreOrdered) {

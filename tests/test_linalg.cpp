@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "common/prng.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/sparse.hpp"
@@ -136,31 +140,90 @@ TEST(Stationary, BirthDeathMatchesMm1k) {
     EXPECT_NEAR(pi[i], std::pow(rho, i) / norm, 1e-12) << "state " << i;
 }
 
-TEST(Stationary, UniformizedAgreesWithDense) {
+/// Random strongly connected generator on n states: a cycle plus random
+/// extra edges, as dense Q and as an in-edge generator (edges grouped by
+/// target in insertion order).
+InEdgeGenerator random_generator(Prng& prng, std::size_t n, DenseMatrix& q) {
+  std::vector<std::vector<std::pair<std::size_t, double>>> in(n);
+  q = DenseMatrix(n, n, 0.0);
+  auto add = [&](std::size_t i, std::size_t j, double r) {
+    in[j].emplace_back(i, r);
+    q(i, j) += r;
+    q(i, i) -= r;
+  };
+  for (std::size_t i = 0; i < n; ++i)
+    add(i, (i + 1) % n, prng.uniform(0.5, 2.0));
+  for (std::size_t e = 0; e < 2 * n; ++e) {
+    const std::size_t i = prng.uniform_index(n);
+    const std::size_t j = prng.uniform_index(n);
+    if (i != j) add(i, j, prng.uniform(0.1, 1.0));
+  }
+  InEdgeGenerator g;
+  g.offset.push_back(0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const auto& [i, r] : in[j]) {
+      g.source.push_back(static_cast<std::uint32_t>(i));
+      g.rate.push_back(r);
+    }
+    g.offset.push_back(static_cast<std::uint32_t>(g.source.size()));
+    g.exit.push_back(-q(j, j));
+  }
+  return g;
+}
+
+double max_exit_rate(const DenseMatrix& q) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < q.rows(); ++i) m = std::max(m, -q(i, i));
+  return m;
+}
+
+TEST(Stationary, GaussSeidelAgreesWithDense) {
   Prng prng(1234);
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t n = 3 + prng.uniform_index(20);
-    // Random strongly connected generator: a cycle plus random extra edges.
-    std::vector<Triplet> triplets;
-    DenseMatrix q(n, n, 0.0);
-    auto add = [&](std::size_t i, std::size_t j, double r) {
-      triplets.push_back({i, j, r});
-      q(i, j) += r;
-      q(i, i) -= r;
-    };
-    for (std::size_t i = 0; i < n; ++i)
-      add(i, (i + 1) % n, prng.uniform(0.5, 2.0));
-    for (std::size_t e = 0; e < 2 * n; ++e) {
-      const std::size_t i = prng.uniform_index(n);
-      const std::size_t j = prng.uniform_index(n);
-      if (i != j) add(i, j, prng.uniform(0.1, 1.0));
-    }
+    DenseMatrix q;
+    const auto g = random_generator(prng, n, q);
     const Vector pi_dense = stationary_dense(q);
-    const Vector pi_iter =
-        stationary_uniformized(CsrMatrix(n, n, triplets));
+    StationarySolveStats stats;
+    const Vector pi_iter = stationary_gauss_seidel(g, {}, &stats);
+    EXPECT_EQ(stats.backend, StationaryBackend::kGaussSeidel);
+    EXPECT_GT(stats.sweeps, 0u);
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(pi_dense[i], pi_iter[i], 1e-8) << "state " << i;
+      EXPECT_NEAR(pi_dense[i], pi_iter[i], 1e-10) << "state " << i;
   }
+}
+
+TEST(Stationary, GaussSeidelResidualIsRecomputable) {
+  // The reported residual is || pi Q ||_1 / max exit rate of the returned pi,
+  // recomputed here on the dense generator (summation order differs, so
+  // agreement is to round-off of the O(1) terms).
+  Prng prng(77);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 3 + prng.uniform_index(40);
+    DenseMatrix q;
+    const auto g = random_generator(prng, n, q);
+    const StationaryOptions options;
+    StationarySolveStats stats;
+    const Vector pi = stationary_gauss_seidel(g, options, &stats);
+    const double recomputed = stationary_residual(q, pi) / max_exit_rate(q);
+    EXPECT_LT(stats.residual, options.tolerance);
+    EXPECT_LT(recomputed, options.tolerance);
+    EXPECT_NEAR(stats.residual, recomputed, 1e-14);
+    double sum = 0.0;
+    for (double p : pi) sum += p;
+    EXPECT_NEAR(sum, 1.0, 1e-15);
+  }
+}
+
+TEST(Stationary, GaussSeidelRejectsStatesWithoutExit) {
+  // State 1 is absorbing: no stationary distribution of the irreducible
+  // kind the sweep assumes.
+  InEdgeGenerator g;
+  g.offset = {0, 0, 1};
+  g.source = {0};
+  g.rate = {1.0};
+  g.exit = {1.0, 0.0};
+  EXPECT_THROW(stationary_gauss_seidel(g), NumericalError);
 }
 
 TEST(Stationary, RejectsEmptyAndNonSquare) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "markov/throughput.hpp"
 #include "test_helpers.hpp"
@@ -113,9 +114,10 @@ TEST(GeneralMethod, TandemTwoServersIsSaturationMin) {
 }
 
 TEST(GeneralMethod, StationaryBackendCrossoverAtDenseThreshold) {
-  // The default crossover is pinned: chains up to 1200 states solve dense.
+  // The default crossover is pinned: chains up to 160 states solve dense
+  // (measured by bench/sec77_runtime's crossover sweep).
   GeneralMethodOptions defaults;
-  EXPECT_EQ(defaults.dense_threshold, 1200u);
+  EXPECT_EQ(defaults.dense_threshold, 160u);
 
   const Mapping mapping = testing::chain_mapping({1.0, 2.0}, {1e-3});
   const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
@@ -126,31 +128,89 @@ TEST(GeneralMethod, StationaryBackendCrossoverAtDenseThreshold) {
       g, rates, g.last_column_transitions(), dense);
   ASSERT_GT(a.num_states, 1u);
   ASSERT_LE(a.num_states, dense.dense_threshold);
-  EXPECT_EQ(a.backend, StationaryBackend::kDense);
-  EXPECT_EQ(a.solver_iterations, 0u);       // direct solve: no sweeps
-  EXPECT_LT(a.solver_residual, 1e-10);      // || pi Q ||_1 of the LU solve
+  EXPECT_EQ(a.solver.backend, StationaryBackend::kDense);
+  EXPECT_EQ(a.solver.sweeps, 0u);  // direct solve: no sweeps
+  // Normalized by the max exit rate (~1000 here): || pi Q ||_1 < 1e-10.
+  EXPECT_LT(a.solver.residual, 1e-13);
 
   // Drop the threshold below the state count: the SAME chain now takes the
-  // sparse uniformized path, reports it, and agrees on the throughput.
+  // Gauss–Seidel path, reports it, and agrees on the throughput.
   GeneralMethodOptions sparse = dense;
   sparse.dense_threshold = a.num_states - 1;
   const auto b = exponential_throughput_general(
       g, rates, g.last_column_transitions(), sparse);
-  EXPECT_EQ(b.backend, StationaryBackend::kUniformized);
-  EXPECT_GT(b.solver_iterations, 0u);
-  EXPECT_LT(b.solver_residual, sparse.stationary.tolerance);
-  // The sweep stops on an L1-change tolerance, which bounds the pi error
-  // only up to the chain's mixing factor — compare a few orders above it.
+  EXPECT_EQ(b.solver.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_GT(b.solver.sweeps, 0u);
+  EXPECT_LT(b.solver.residual, sparse.stationary.tolerance);
+  // The sweep stops on the normalized residual || pi Q ||_1 / max exit rate
+  // < 1e-12. The pi error is that residual times the chain's conditioning,
+  // which is poor here (exit rates span 0.5 to 1000), so compare a few
+  // orders above it.
   EXPECT_NEAR(b.throughput, a.throughput, 1e-7);
 
   // saturated_flow (the pattern-cache entry point) dispatches identically —
   // it is NOT dense-only.
   const auto sf_dense = saturated_flow(g, rates, dense);
-  EXPECT_EQ(sf_dense.backend, StationaryBackend::kDense);
+  EXPECT_EQ(sf_dense.solver.backend, StationaryBackend::kDense);
   const auto sf_sparse = saturated_flow(g, rates, sparse);
-  EXPECT_EQ(sf_sparse.backend, StationaryBackend::kUniformized);
-  EXPECT_GT(sf_sparse.solver_iterations, 0u);
+  EXPECT_EQ(sf_sparse.solver.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_GT(sf_sparse.solver.sweeps, 0u);
   EXPECT_NEAR(sf_sparse.throughput, sf_dense.throughput, 1e-7);
+
+  // stationary_frequencies reports the same solve through its out-param.
+  const auto chain = explore_markings(g, rates, sparse.reachability);
+  StationarySolveStats solver;
+  const auto freq = stationary_frequencies(g, chain, rates, sparse, &solver);
+  EXPECT_EQ(solver.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_EQ(solver.sweeps, b.solver.sweeps);
+  EXPECT_EQ(solver.residual, b.solver.residual);
+  double counted = 0.0;
+  for (std::size_t t : g.last_column_transitions()) counted += freq[t];
+  EXPECT_EQ(counted, b.throughput);
+}
+
+TEST(GeneralMethod, GaussSeidelMatchesDenseOnHeterogeneousPattern) {
+  // A heterogeneous 5 x 6 pattern: 1,260 states, well above the default
+  // dense_threshold. Gauss–Seidel agrees with a forced dense LU solve.
+  std::vector<double> times;
+  for (std::size_t k = 0; k < 30; ++k)
+    times.push_back(0.5 + 0.1 * static_cast<double>((k * 7) % 11));
+  const Mapping mapping =
+      testing::single_comm_mapping_heterogeneous(5, 6, times);
+  const TimedEventGraph teg = build_pattern_teg(comm_patterns(mapping, 0)[0]);
+  const auto rates = rates_from_durations(teg);
+  const GeneralMethodOptions defaults;
+  const auto gs = saturated_flow(teg, rates, defaults);
+  ASSERT_EQ(gs.num_states, 1260u);
+  EXPECT_EQ(gs.solver.backend, StationaryBackend::kGaussSeidel);
+  EXPECT_LT(gs.solver.residual, defaults.stationary.tolerance);
+  GeneralMethodOptions forced_dense;
+  forced_dense.dense_threshold = gs.num_states;
+  const auto lu = saturated_flow(teg, rates, forced_dense);
+  EXPECT_EQ(lu.solver.backend, StationaryBackend::kDense);
+  EXPECT_LT(lu.solver.residual, defaults.stationary.tolerance);
+  EXPECT_NEAR(gs.throughput, lu.throughput, 1e-10 * lu.throughput);
+}
+
+TEST(GeneralMethod, GaussSeidelSweepCapThrowsWithProgress) {
+  // One sweep cannot reach 1e-12 on a tandem chain; the error names the
+  // sweeps done and the residual reached.
+  const Mapping mapping = testing::chain_mapping({1.0, 2.0}, {1e-3});
+  const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
+  GeneralMethodOptions options;
+  options.reachability.place_capacity = 4;
+  options.dense_threshold = 0;
+  options.stationary.max_iterations = 1;
+  try {
+    (void)exponential_throughput_general(g, rates_from_durations(g),
+                                         g.last_column_transitions(), options);
+    FAIL() << "expected NumericalError";
+  } catch (const NumericalError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("sweeps: 1,"), std::string::npos) << message;
+    EXPECT_NE(message.find("residual reached: "), std::string::npos)
+        << message;
+  }
 }
 
 TEST(GeneralMethod, FrequenciesAreRowUniform) {

@@ -65,6 +65,24 @@ for config in "${configs[@]}"; do
   fi
 done
 
+# Sanitizer stage, mirroring the address-sanitizer CI job: the full suite
+# in Debug under ASan/UBSan, md_links (a pure CMake-script link checker that
+# runs no instrumented code) excepted. Gated on the toolchain shipping the
+# sanitizer runtimes.
+if echo 'int main() { return 0; }' | "${CXX:-c++}" -x c++ - \
+    -fsanitize=address,undefined -o /dev/null 2>/dev/null; then
+  echo "==> ASan/UBSan: configure + build (Debug)"
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
+      -DSTREAMFLOW_BUILD_BENCH=OFF -DSTREAMFLOW_BUILD_EXAMPLES=OFF
+  cmake --build build-asan -j "${jobs}"
+  echo "==> ASan/UBSan: full suite"
+  ctest --test-dir build-asan -E "^md_links$" --output-on-failure -j "${jobs}"
+else
+  echo "==> SKIP ASan/UBSan stage: the compiler cannot link -fsanitize=address,undefined"
+fi
+
 # Static-analysis stage, mirroring the clang-static-analysis CI job. Each
 # tool is availability-gated (with a loud skip notice) so the script stays
 # runnable on gcc-only boxes: the thread-safety annotations compile as
