@@ -8,12 +8,15 @@
 // to per_lane*kLanes sequential scalar draws — batching never changes the
 // stream, only how fast it is materialized.
 //
-// Kernels live in dedicated translation units compiled with their own ISA
-// flags (-mavx512f/-mavx512dq / -mavx2 / -msse4.1, set per-source in
-// CMakeLists.txt) so the rest of the library stays baseline-ISA. Each TU
-// exposes a getter that returns nullptr when the kernel was not compiled in;
-// runtime dispatch picks the best kernel the CPU actually supports (CPUID
-// via __builtin_cpu_supports).
+// One kernel template, FillKernel<V> in simd_fill_kernel.hpp, holds the
+// xoshiro step and the fill, fill_u01 and convert loops. Each ISA
+// translation unit (simd_fill_{scalar,sse4,avx2,avx512}.cpp) only defines a
+// register shim V — 1, 2, 4 or 8 uint64 per register — compiled with its own
+// flags (-msse4.1 / -mavx2 / -mavx512f -mavx512dq, set per-source in
+// CMakeLists.txt) so the rest of the library stays baseline-ISA, and
+// publishes the instantiation as a Kernels table. Runtime dispatch,
+// kernels(Isa), picks the best table the CPU actually supports (CPUID via
+// __builtin_cpu_supports).
 #pragma once
 
 #include <cstddef>
@@ -22,10 +25,8 @@
 
 namespace streamflow::simd {
 
-/// Number of interleaved xoshiro lanes every kernel advances. Eight lanes =
-/// one AVX-512 vector, two AVX2 vectors, or four SSE vectors in flight,
-/// enough to hide the 3-4 cycle xor/rotate dependency chain of a single
-/// state on the sub-512-bit paths.
+/// Number of xoshiro lanes every kernel advances: one AVX-512 vector, two
+/// AVX2 vectors or four SSE vectors.
 inline constexpr std::size_t kLanes = 8;
 
 /// Lane states in structure-of-arrays layout: word w of lane j at s[w][j].
@@ -33,23 +34,22 @@ struct LaneBlock {
   alignas(64) std::uint64_t s[4][kLanes];
 };
 
-/// Fill `out` with per_lane draws from each lane (lane j's run starting at
-/// out + j*per_lane), advancing the lane states in place. per_lane must be a
-/// positive multiple of 8 (the widest in-register transpose tile).
-using FillFn = void (*)(LaneBlock& lanes, std::uint64_t* out,
-                        std::size_t per_lane);
-
-/// Same contract, but emits uniform01() doubles instead of raw draws: each
-/// value is exactly u64_to_unit_double(raw draw) — the conversion is exact
-/// (53-bit operand, power-of-two scale), so vectorizing it cannot change a
-/// single bit relative to the scalar expression.
-using FillU01Fn = void (*)(LaneBlock& lanes, double* out, std::size_t per_lane);
-
-/// Elementwise out[i] = u64_to_unit_double(in[i]) for already-materialized
-/// raw draws (BufferedPrng's partial-block drains), any n, in/out disjoint.
-/// Same exactness guarantee as FillU01Fn.
-using ConvertU01Fn = void (*)(const std::uint64_t* in, double* out,
-                              std::size_t n);
+/// One ISA's kernels.
+struct Kernels {
+  /// Fill `out` with per_lane draws from each lane (lane j's run starting at
+  /// out + j*per_lane), advancing the lane states in place. per_lane must be
+  /// a positive multiple of 8 (the widest in-register transpose tile).
+  void (*fill)(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane);
+  /// Same contract, but emits uniform01() doubles instead of raw draws: each
+  /// value is exactly u64_to_unit_double(raw draw) — the conversion is exact
+  /// (53-bit operand, power-of-two scale), so vectorizing it cannot change a
+  /// single bit relative to the scalar expression.
+  void (*fill_u01)(LaneBlock& lanes, double* out, std::size_t per_lane);
+  /// Elementwise out[i] = u64_to_unit_double(in[i]) for already-materialized
+  /// raw draws (BufferedPrng's partial-block drains), any n, in/out
+  /// disjoint. Same exactness guarantee as fill_u01.
+  void (*convert_u01)(const std::uint64_t* in, double* out, std::size_t n);
+};
 
 /// Instruction sets a kernel can be compiled for, in preference order.
 enum class Isa {
@@ -62,23 +62,6 @@ enum class Isa {
 
 const char* isa_name(Isa isa);
 
-/// Portable kernels (always compiled).
-void fill_scalar(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane);
-void fill_u01_scalar(LaneBlock& lanes, double* out, std::size_t per_lane);
-void convert_u01_scalar(const std::uint64_t* in, double* out, std::size_t n);
-
-/// Per-ISA kernel getters: nullptr when that TU was compiled without the ISA
-/// (non-x86 target or compiler without the flag).
-FillFn fill_sse4();
-FillU01Fn fill_u01_sse4();
-ConvertU01Fn convert_u01_sse4();
-FillFn fill_avx2();
-FillU01Fn fill_u01_avx2();
-ConvertU01Fn convert_u01_avx2();
-FillFn fill_avx512();
-FillU01Fn fill_u01_avx512();
-ConvertU01Fn convert_u01_avx512();
-
 /// True when `isa`'s kernel is both compiled in and supported by this CPU.
 bool isa_available(Isa isa);
 
@@ -89,10 +72,8 @@ Isa best_isa();
 /// byte-equality tests iterate this to pin each compiled path.
 std::vector<Isa> available_isas();
 
-/// Resolve an ISA (including kAuto) to its kernel pair. SF_REQUIREs that the
-/// ISA is available.
-FillFn fill_fn(Isa isa);
-FillU01Fn fill_u01_fn(Isa isa);
-ConvertU01Fn convert_u01_fn(Isa isa);
+/// Resolve an ISA (including kAuto) to its kernel table. SF_REQUIREs that
+/// the ISA is available.
+const Kernels& kernels(Isa isa);
 
 }  // namespace streamflow::simd

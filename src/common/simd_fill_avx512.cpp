@@ -1,13 +1,12 @@
-// AVX-512 xoshiro256++ block-fill kernel: all 8 lanes in one 512-bit vector.
-// Three ISA advantages over the AVX2 kernel: vprolq rotates in one
-// instruction (vs shift/shift/or), vcvtuqq2pd (AVX-512DQ) converts uint64 ->
-// double in one instruction — exact for operands below 2^53, which every
+// AVX-512 register shim: all 8 lanes in one 512-bit vector, one lane group.
+// Two ISA advantages over the AVX2 shim: vprolq rotates in one instruction
+// (vs shift/shift/or), and vcvtuqq2pd (AVX-512DQ) converts uint64 -> double
+// in one instruction — exact for operands below 2^53, which every
 // right-shifted draw is, so it is bit-identical to the scalar
-// static_cast<double> — and one state update advances all lanes at once.
-// Compiled with -mavx512f -mavx512dq when the compiler supports them (see
-// CMakeLists.txt); otherwise the getters return nullptr and dispatch falls
-// back to AVX2/SSE4/scalar.
-#include "common/simd_fill.hpp"
+// static_cast<double>. Compiled with -mavx512f -mavx512dq when the compiler
+// supports them (see CMakeLists.txt); otherwise the table getter returns
+// nullptr and dispatch falls back to AVX2/SSE4/scalar.
+#include "common/simd_fill_kernel.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
@@ -17,142 +16,68 @@ namespace streamflow::simd {
 
 namespace {
 
-struct OctoState {
-  __m512i s0, s1, s2, s3;
+struct Avx512 {
+  using Reg = __m512i;
+  static constexpr std::size_t kWidth = 8;
+  // NOLINTBEGIN(cppcoreguidelines-pro-type-reinterpret-cast)
+  // The 512-bit load/store intrinsics take void*. load/store cover one whole
+  // alignas(64) LaneBlock row (8 lanes x 8 bytes), so every 64-byte access is
+  // aligned and exactly in-bounds; loadu/storeu address the caller's
+  // uint64_t buffer, which has no alignment contract.
+  static Reg load(const std::uint64_t* p) {
+    return _mm512_load_si512(reinterpret_cast<const void*>(p));
+  }
+  static void store(std::uint64_t* p, Reg r) {
+    _mm512_store_si512(reinterpret_cast<void*>(p), r);
+  }
+  static Reg loadu(const std::uint64_t* p) {
+    return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
+  }
+  static void storeu(std::uint64_t* p, Reg r) {
+    _mm512_storeu_si512(reinterpret_cast<void*>(p), r);
+  }
+  // NOLINTEND(cppcoreguidelines-pro-type-reinterpret-cast)
+  static Reg add(Reg a, Reg b) { return _mm512_add_epi64(a, b); }
+  static Reg xor_(Reg a, Reg b) { return _mm512_xor_si512(a, b); }
+  template <int K>
+  static Reg shl(Reg a) { return _mm512_slli_epi64(a, K); }
+  template <int K>
+  static Reg rotl(Reg a) { return _mm512_rol_epi64(a, K); }
+  /// 8x8 transpose of 64-bit elements. Classic three-stage butterfly: 64-bit
+  /// unpacks, then two rounds of 128-bit block shuffles.
+  static void transpose(Reg (&r)[8]) {
+    Reg t[8], u[8];
+    for (int k = 0; k < 8; k += 2) {
+      t[k] = _mm512_unpacklo_epi64(r[k], r[k + 1]);
+      t[k + 1] = _mm512_unpackhi_epi64(r[k], r[k + 1]);
+    }
+    for (int k = 0; k < 8; k += 4) {
+      u[k] = _mm512_shuffle_i64x2(t[k], t[k + 2], 0x88);
+      u[k + 1] = _mm512_shuffle_i64x2(t[k + 1], t[k + 3], 0x88);
+      u[k + 2] = _mm512_shuffle_i64x2(t[k], t[k + 2], 0xdd);
+      u[k + 3] = _mm512_shuffle_i64x2(t[k + 1], t[k + 3], 0xdd);
+    }
+    for (int k = 0; k < 4; ++k) {
+      r[k] = _mm512_shuffle_i64x2(u[k], u[k + 4], 0x88);
+      r[k + 4] = _mm512_shuffle_i64x2(u[k], u[k + 4], 0xdd);
+    }
+  }
+  static void store_u01(double* p, Reg r) {
+    const __m512d d = _mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11));
+    _mm512_storeu_pd(p, _mm512_mul_pd(d, _mm512_set1_pd(0x1.0p-53)));
+  }
 };
-
-/// One xoshiro256++ step on all 8 lanes — the scalar recurrence,
-/// element-wise.
-inline __m512i next8(OctoState& q) {
-  const __m512i result = _mm512_add_epi64(
-      _mm512_rol_epi64(_mm512_add_epi64(q.s0, q.s3), 23), q.s0);
-  const __m512i t = _mm512_slli_epi64(q.s1, 17);
-  q.s2 = _mm512_xor_si512(q.s2, q.s0);
-  q.s3 = _mm512_xor_si512(q.s3, q.s1);
-  q.s1 = _mm512_xor_si512(q.s1, q.s2);
-  q.s0 = _mm512_xor_si512(q.s0, q.s3);
-  q.s2 = _mm512_xor_si512(q.s2, t);
-  q.s3 = _mm512_rol_epi64(q.s3, 45);
-  return result;
-}
-
-/// 8x8 transpose of 64-bit elements: rows r[u] = draws of iteration u across
-/// all lanes become columns c[j] = 8 consecutive draws of lane j. Classic
-/// three-stage butterfly: 64-bit unpacks, then two rounds of 128-bit block
-/// shuffles.
-inline void transpose8x8(const __m512i r[8], __m512i c[8]) {
-  const __m512i t0 = _mm512_unpacklo_epi64(r[0], r[1]);
-  const __m512i t1 = _mm512_unpackhi_epi64(r[0], r[1]);
-  const __m512i t2 = _mm512_unpacklo_epi64(r[2], r[3]);
-  const __m512i t3 = _mm512_unpackhi_epi64(r[2], r[3]);
-  const __m512i t4 = _mm512_unpacklo_epi64(r[4], r[5]);
-  const __m512i t5 = _mm512_unpackhi_epi64(r[4], r[5]);
-  const __m512i t6 = _mm512_unpacklo_epi64(r[6], r[7]);
-  const __m512i t7 = _mm512_unpackhi_epi64(r[6], r[7]);
-
-  const __m512i u0 = _mm512_shuffle_i64x2(t0, t2, 0x88);
-  const __m512i u1 = _mm512_shuffle_i64x2(t1, t3, 0x88);
-  const __m512i u2 = _mm512_shuffle_i64x2(t0, t2, 0xdd);
-  const __m512i u3 = _mm512_shuffle_i64x2(t1, t3, 0xdd);
-  const __m512i u4 = _mm512_shuffle_i64x2(t4, t6, 0x88);
-  const __m512i u5 = _mm512_shuffle_i64x2(t5, t7, 0x88);
-  const __m512i u6 = _mm512_shuffle_i64x2(t4, t6, 0xdd);
-  const __m512i u7 = _mm512_shuffle_i64x2(t5, t7, 0xdd);
-
-  c[0] = _mm512_shuffle_i64x2(u0, u4, 0x88);
-  c[1] = _mm512_shuffle_i64x2(u1, u5, 0x88);
-  c[2] = _mm512_shuffle_i64x2(u2, u6, 0x88);
-  c[3] = _mm512_shuffle_i64x2(u3, u7, 0x88);
-  c[4] = _mm512_shuffle_i64x2(u0, u4, 0xdd);
-  c[5] = _mm512_shuffle_i64x2(u1, u5, 0xdd);
-  c[6] = _mm512_shuffle_i64x2(u2, u6, 0xdd);
-  c[7] = _mm512_shuffle_i64x2(u3, u7, 0xdd);
-}
-
-// NOLINTBEGIN(cppcoreguidelines-pro-type-reinterpret-cast)
-// The 512-bit load/store intrinsics take void*. Each cast below covers one
-// whole alignas(64) LaneBlock row (8 lanes x 8 bytes), so every 64-byte
-// access is aligned and exactly in-bounds.
-inline OctoState load_state(const LaneBlock& lanes) {
-  return OctoState{
-      _mm512_load_si512(reinterpret_cast<const void*>(&lanes.s[0][0])),
-      _mm512_load_si512(reinterpret_cast<const void*>(&lanes.s[1][0])),
-      _mm512_load_si512(reinterpret_cast<const void*>(&lanes.s[2][0])),
-      _mm512_load_si512(reinterpret_cast<const void*>(&lanes.s[3][0]))};
-}
-
-inline void store_state(LaneBlock& lanes, const OctoState& q) {
-  _mm512_store_si512(reinterpret_cast<void*>(&lanes.s[0][0]), q.s0);
-  _mm512_store_si512(reinterpret_cast<void*>(&lanes.s[1][0]), q.s1);
-  _mm512_store_si512(reinterpret_cast<void*>(&lanes.s[2][0]), q.s2);
-  _mm512_store_si512(reinterpret_cast<void*>(&lanes.s[3][0]), q.s3);
-}
-// NOLINTEND(cppcoreguidelines-pro-type-reinterpret-cast)
-
-static_assert(kLanes == 8, "one ZMM register holds exactly the 8 lanes");
-
-void fill_avx512_impl(LaneBlock& lanes, std::uint64_t* out,
-                      std::size_t per_lane) {
-  OctoState q = load_state(lanes);
-  for (std::size_t i = 0; i < per_lane; i += 8) {
-    __m512i r[8], c[8];
-    for (int u = 0; u < 8; ++u) r[u] = next8(q);
-    transpose8x8(r, c);
-    for (std::size_t j = 0; j < 8; ++j) {
-      // Cast: unaligned-store intrinsic takes void*; the caller-owned
-      // uint64_t buffer has no alignment contract, hence storeu.
-      // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-      _mm512_storeu_si512(reinterpret_cast<void*>(out + j * per_lane + i),
-                          c[j]);
-    }
-  }
-  store_state(lanes, q);
-}
-
-void convert_u01_avx512_impl(const std::uint64_t* in, double* out,
-                             std::size_t n) {
-  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Cast: unaligned-load intrinsic over the caller's uint64_t buffer.
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-    const __m512i v = _mm512_loadu_si512(
-        reinterpret_cast<const void*>(in + i));
-    const __m512d d = _mm512_cvtepu64_pd(_mm512_srli_epi64(v, 11));
-    _mm512_storeu_pd(out + i, _mm512_mul_pd(d, scale));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(in[i] >> 11) * 0x1.0p-53;
-}
-
-void fill_u01_avx512_impl(LaneBlock& lanes, double* out, std::size_t per_lane) {
-  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
-  OctoState q = load_state(lanes);
-  for (std::size_t i = 0; i < per_lane; i += 8) {
-    __m512i r[8], c[8];
-    for (int u = 0; u < 8; ++u) r[u] = next8(q);
-    transpose8x8(r, c);
-    for (std::size_t j = 0; j < 8; ++j) {
-      const __m512d d = _mm512_cvtepu64_pd(_mm512_srli_epi64(c[j], 11));
-      _mm512_storeu_pd(out + j * per_lane + i, _mm512_mul_pd(d, scale));
-    }
-  }
-  store_state(lanes, q);
-}
 
 }  // namespace
 
-FillFn fill_avx512() { return &fill_avx512_impl; }
-FillU01Fn fill_u01_avx512() { return &fill_u01_avx512_impl; }
-ConvertU01Fn convert_u01_avx512() { return &convert_u01_avx512_impl; }
+const Kernels* avx512_kernels() { return &FillKernel<Avx512>::kTable; }
 
 }  // namespace streamflow::simd
 
 #else  // !(defined(__AVX512F__) && defined(__AVX512DQ__))
 
-namespace streamflow::simd {
-FillFn fill_avx512() { return nullptr; }
-FillU01Fn fill_u01_avx512() { return nullptr; }
-ConvertU01Fn convert_u01_avx512() { return nullptr; }
-}  // namespace streamflow::simd
+const streamflow::simd::Kernels* streamflow::simd::avx512_kernels() {
+  return nullptr;
+}
 
 #endif

@@ -1,74 +1,50 @@
-// Portable fallback kernels and the runtime ISA dispatch logic.
-#include "common/simd_fill.hpp"
-
+// The W = 1 register shim (portable C++, always compiled) and the runtime ISA
+// dispatch.
 #include "common/error.hpp"
-#include "common/prng.hpp"
+#include "common/simd_fill_kernel.hpp"
 
 namespace streamflow::simd {
 
 namespace {
 
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-/// One xoshiro256++ step on lane j of the block — the scalar recurrence of
-/// Prng::step(), verbatim.
-inline std::uint64_t step_lane(LaneBlock& lanes, std::size_t j) {
-  const std::uint64_t result =
-      rotl(lanes.s[0][j] + lanes.s[3][j], 23) + lanes.s[0][j];
-  const std::uint64_t t = lanes.s[1][j] << 17;
-  lanes.s[2][j] ^= lanes.s[0][j];
-  lanes.s[3][j] ^= lanes.s[1][j];
-  lanes.s[1][j] ^= lanes.s[2][j];
-  lanes.s[0][j] ^= lanes.s[3][j];
-  lanes.s[2][j] ^= t;
-  lanes.s[3][j] = rotl(lanes.s[3][j], 45);
-  return result;
-}
-
-bool cpu_supports(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kSse4:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("sse4.1");
-#else
-      return false;
-#endif
-    case Isa::kAvx2:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512dq");
-#else
-      return false;
-#endif
-    case Isa::kAuto:
-      return true;
+struct Scalar {
+  using Reg = std::uint64_t;
+  static constexpr std::size_t kWidth = 1;
+  static Reg load(const std::uint64_t* p) { return *p; }
+  static void store(std::uint64_t* p, Reg r) { *p = r; }
+  static Reg loadu(const std::uint64_t* p) { return *p; }
+  static void storeu(std::uint64_t* p, Reg r) { *p = r; }
+  static Reg add(Reg a, Reg b) { return a + b; }
+  static Reg xor_(Reg a, Reg b) { return a ^ b; }
+  template <int K>
+  static Reg shl(Reg a) { return a << K; }
+  template <int K>
+  static Reg rotl(Reg a) { return (a << K) | (a >> (64 - K)); }
+  static void transpose(Reg (&)[1]) {}
+  static void store_u01(double* p, Reg r) {
+    *p = static_cast<double>(r >> 11) * 0x1.0p-53;
   }
-  return false;
-}
+};
 
-bool compiled_in(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-    case Isa::kAuto:
-      return true;
-    case Isa::kSse4:
-      return fill_sse4() != nullptr;
-    case Isa::kAvx2:
-      return fill_avx2() != nullptr;
-    case Isa::kAvx512:
-      return fill_avx512() != nullptr;
+/// `isa`'s table when it is compiled in and this CPU supports it, else
+/// nullptr.
+const Kernels* available_table(Isa isa) {
+  if (isa == Isa::kScalar || isa == Isa::kAuto) {
+    return &FillKernel<Scalar>::kTable;
   }
-  return false;
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  if (isa == Isa::kSse4 && __builtin_cpu_supports("sse4.1")) {
+    return sse4_kernels();
+  }
+  if (isa == Isa::kAvx2 && __builtin_cpu_supports("avx2")) {
+    return avx2_kernels();
+  }
+  if (isa == Isa::kAvx512 && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq")) {
+    return avx512_kernels();
+  }
+#endif
+  return nullptr;
 }
 
 }  // namespace
@@ -89,26 +65,7 @@ const char* isa_name(Isa isa) {
   return "?";
 }
 
-void fill_scalar(LaneBlock& lanes, std::uint64_t* out, std::size_t per_lane) {
-  for (std::size_t j = 0; j < kLanes; ++j) {
-    std::uint64_t* run = out + j * per_lane;
-    for (std::size_t i = 0; i < per_lane; ++i) run[i] = step_lane(lanes, j);
-  }
-}
-
-void fill_u01_scalar(LaneBlock& lanes, double* out, std::size_t per_lane) {
-  for (std::size_t j = 0; j < kLanes; ++j) {
-    double* run = out + j * per_lane;
-    for (std::size_t i = 0; i < per_lane; ++i)
-      run[i] = u64_to_unit_double(step_lane(lanes, j));
-  }
-}
-
-void convert_u01_scalar(const std::uint64_t* in, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = u64_to_unit_double(in[i]);
-}
-
-bool isa_available(Isa isa) { return compiled_in(isa) && cpu_supports(isa); }
+bool isa_available(Isa isa) { return available_table(isa) != nullptr; }
 
 Isa best_isa() {
   static const Isa best = [] {
@@ -128,49 +85,11 @@ std::vector<Isa> available_isas() {
   return isas;
 }
 
-FillFn fill_fn(Isa isa) {
+const Kernels& kernels(Isa isa) {
   if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return fill_sse4();
-    case Isa::kAvx2:
-      return fill_avx2();
-    case Isa::kAvx512:
-      return fill_avx512();
-    default:
-      return &fill_scalar;
-  }
-}
-
-FillU01Fn fill_u01_fn(Isa isa) {
-  if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return fill_u01_sse4();
-    case Isa::kAvx2:
-      return fill_u01_avx2();
-    case Isa::kAvx512:
-      return fill_u01_avx512();
-    default:
-      return &fill_u01_scalar;
-  }
-}
-
-ConvertU01Fn convert_u01_fn(Isa isa) {
-  if (isa == Isa::kAuto) isa = best_isa();
-  SF_REQUIRE(isa_available(isa), "requested SIMD ISA is not available");
-  switch (isa) {
-    case Isa::kSse4:
-      return convert_u01_sse4();
-    case Isa::kAvx2:
-      return convert_u01_avx2();
-    case Isa::kAvx512:
-      return convert_u01_avx512();
-    default:
-      return &convert_u01_scalar;
-  }
+  const Kernels* table = available_table(isa);
+  SF_REQUIRE(table != nullptr, "requested SIMD ISA is not available");
+  return *table;
 }
 
 }  // namespace streamflow::simd

@@ -1,8 +1,8 @@
-// SSE4.1 xoshiro256++ block-fill kernel: 2 lanes per 128-bit vector, four
-// vector groups over the 8 lanes. SSE4.1 (not plain SSE2) because the exact
-// uint64 -> double conversion uses pblendw. Compiled with -msse4.1 when the
-// compiler supports it; otherwise the getters return nullptr.
-#include "common/simd_fill.hpp"
+// SSE4.1 register shim: 2 lanes per 128-bit vector, four lane groups. SSE4.1
+// (not plain SSE2) because the exact uint64 -> double conversion uses
+// pblendw. Compiled with -msse4.1 when the compiler supports it; otherwise
+// the table getter returns nullptr.
+#include "common/simd_fill_kernel.hpp"
 
 #if defined(__SSE4_1__)
 
@@ -12,141 +12,69 @@ namespace streamflow::simd {
 
 namespace {
 
-inline __m128i rotl64(__m128i x, int k) {
-  return _mm_or_si128(_mm_slli_epi64(x, k), _mm_srli_epi64(x, 64 - k));
-}
-
-struct PairState {
-  __m128i s0, s1, s2, s3;
+struct Sse4 {
+  using Reg = __m128i;
+  static constexpr std::size_t kWidth = 2;
+  // NOLINTBEGIN(cppcoreguidelines-pro-type-reinterpret-cast)
+  // The intrinsic load/store API takes __m128i*. load/store point at uint64_t
+  // pairs inside LaneBlock's alignas(64) rows at an even lane, so every
+  // 16-byte access is aligned and in-bounds; loadu/storeu address the
+  // caller's uint64_t buffer, which has no alignment contract.
+  static Reg load(const std::uint64_t* p) {
+    return _mm_load_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void store(std::uint64_t* p, Reg r) {
+    _mm_store_si128(reinterpret_cast<__m128i*>(p), r);
+  }
+  static Reg loadu(const std::uint64_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void storeu(std::uint64_t* p, Reg r) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), r);
+  }
+  // NOLINTEND(cppcoreguidelines-pro-type-reinterpret-cast)
+  static Reg add(Reg a, Reg b) { return _mm_add_epi64(a, b); }
+  static Reg xor_(Reg a, Reg b) { return _mm_xor_si128(a, b); }
+  template <int K>
+  static Reg shl(Reg a) { return _mm_slli_epi64(a, K); }
+  template <int K>
+  static Reg rotl(Reg a) {
+    return _mm_or_si128(_mm_slli_epi64(a, K), _mm_srli_epi64(a, 64 - K));
+  }
+  static void transpose(Reg (&r)[2]) {
+    const Reg lo = _mm_unpacklo_epi64(r[0], r[1]);
+    r[1] = _mm_unpackhi_epi64(r[0], r[1]);
+    r[0] = lo;
+  }
+  /// (r >> 11) * 2^-53 with an exact uint64 -> double split conversion for
+  /// values < 2^53: build hi*2^32 and 2^52 + lo as exact doubles and
+  /// recombine. Every step is exact below 2^53, so the result is
+  /// bit-identical to static_cast<double>.
+  static void store_u01(double* p, Reg r) {
+    const Reg v = _mm_srli_epi64(r, 11);
+    const __m128d k84 = _mm_set1_pd(19342813113834066795298816.);  // 2^84
+    const __m128d k84_52 =
+        _mm_set1_pd(19342813118337666422669312.);  // 2^84 + 2^52
+    const Reg k52_bits =
+        _mm_castpd_si128(_mm_set1_pd(4503599627370496.));  // bits of 2^52
+    const Reg hi = _mm_or_si128(_mm_srli_epi64(v, 32), _mm_castpd_si128(k84));
+    const Reg lo = _mm_blend_epi16(v, k52_bits, 0xcc);
+    const __m128d f = _mm_sub_pd(_mm_castsi128_pd(hi), k84_52);
+    const __m128d d = _mm_add_pd(f, _mm_castsi128_pd(lo));
+    _mm_storeu_pd(p, _mm_mul_pd(d, _mm_set1_pd(0x1.0p-53)));
+  }
 };
-
-inline __m128i next2(PairState& q) {
-  const __m128i result =
-      _mm_add_epi64(rotl64(_mm_add_epi64(q.s0, q.s3), 23), q.s0);
-  const __m128i t = _mm_slli_epi64(q.s1, 17);
-  q.s2 = _mm_xor_si128(q.s2, q.s0);
-  q.s3 = _mm_xor_si128(q.s3, q.s1);
-  q.s1 = _mm_xor_si128(q.s1, q.s2);
-  q.s0 = _mm_xor_si128(q.s0, q.s3);
-  q.s2 = _mm_xor_si128(q.s2, t);
-  q.s3 = rotl64(q.s3, 45);
-  return result;
-}
-
-/// Exact uint64 -> double for values < 2^53; same split conversion as the
-/// AVX2 kernel (see simd_fill_avx2.cpp for the exactness argument).
-inline __m128d u64lt53_to_double(__m128i v) {
-  const __m128d k84 = _mm_set1_pd(19342813113834066795298816.);  // 2^84
-  const __m128d k84_52 =
-      _mm_set1_pd(19342813118337666422669312.);  // 2^84 + 2^52
-  const __m128i k52_bits =
-      _mm_castpd_si128(_mm_set1_pd(4503599627370496.));  // bits of 2^52
-  __m128i hi = _mm_srli_epi64(v, 32);
-  hi = _mm_or_si128(hi, _mm_castpd_si128(k84));
-  const __m128i lo = _mm_blend_epi16(v, k52_bits, 0xcc);
-  const __m128d f = _mm_sub_pd(_mm_castsi128_pd(hi), k84_52);
-  return _mm_add_pd(f, _mm_castsi128_pd(lo));
-}
-
-// NOLINTBEGIN(cppcoreguidelines-pro-type-reinterpret-cast)
-// The intrinsic load/store API takes __m128i*. Each cast below points at
-// uint64_t pairs inside LaneBlock's alignas(64) rows with an even group
-// index g, so every 16-byte access is aligned and in-bounds.
-inline PairState load_group(const LaneBlock& lanes, std::size_t g) {
-  return PairState{
-      _mm_load_si128(reinterpret_cast<const __m128i*>(&lanes.s[0][g])),
-      _mm_load_si128(reinterpret_cast<const __m128i*>(&lanes.s[1][g])),
-      _mm_load_si128(reinterpret_cast<const __m128i*>(&lanes.s[2][g])),
-      _mm_load_si128(reinterpret_cast<const __m128i*>(&lanes.s[3][g]))};
-}
-
-inline void store_group(LaneBlock& lanes, std::size_t g, const PairState& q) {
-  _mm_store_si128(reinterpret_cast<__m128i*>(&lanes.s[0][g]), q.s0);
-  _mm_store_si128(reinterpret_cast<__m128i*>(&lanes.s[1][g]), q.s1);
-  _mm_store_si128(reinterpret_cast<__m128i*>(&lanes.s[2][g]), q.s2);
-  _mm_store_si128(reinterpret_cast<__m128i*>(&lanes.s[3][g]), q.s3);
-}
-// NOLINTEND(cppcoreguidelines-pro-type-reinterpret-cast)
-
-// Both fill loops advance the four 2-lane groups in lockstep: each group's
-// recurrence is a serial dependency chain, so interleaving the four chains
-// in one loop hides the per-step latency the sequential per-group passes
-// would stall on.
-static_assert(kLanes == 8, "fill kernels interleave exactly four pair groups");
-
-void fill_sse4_impl(LaneBlock& lanes, std::uint64_t* out,
-                    std::size_t per_lane) {
-  PairState q[4] = {load_group(lanes, 0), load_group(lanes, 2),
-                    load_group(lanes, 4), load_group(lanes, 6)};
-  for (std::size_t i = 0; i < per_lane; i += 2) {
-    for (std::size_t g = 0; g < 4; ++g) {
-      // r0 = draws (i) of lanes 2g,2g+1; r1 = draws (i+1). Unpack regroups
-      // them into two consecutive draws per lane.
-      const __m128i r0 = next2(q[g]);
-      const __m128i r1 = next2(q[g]);
-      std::uint64_t* base = out + 2 * g * per_lane;
-      // Casts: unaligned-store intrinsics take __m128i*; the caller-owned
-      // uint64_t buffer has no alignment contract, hence storeu.
-      // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(base + i),
-                       _mm_unpacklo_epi64(r0, r1));
-      // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(base + per_lane + i),
-                       _mm_unpackhi_epi64(r0, r1));
-    }
-  }
-  for (std::size_t g = 0; g < 4; ++g) store_group(lanes, 2 * g, q[g]);
-}
-
-void convert_u01_sse4_impl(const std::uint64_t* in, double* out,
-                           std::size_t n) {
-  const __m128d scale = _mm_set1_pd(0x1.0p-53);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // Cast: unaligned-load intrinsic over the caller's uint64_t buffer.
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128d d = u64lt53_to_double(_mm_srli_epi64(v, 11));
-    _mm_storeu_pd(out + i, _mm_mul_pd(d, scale));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(in[i] >> 11) * 0x1.0p-53;
-}
-
-void fill_u01_sse4_impl(LaneBlock& lanes, double* out, std::size_t per_lane) {
-  const __m128d scale = _mm_set1_pd(0x1.0p-53);
-  PairState q[4] = {load_group(lanes, 0), load_group(lanes, 2),
-                    load_group(lanes, 4), load_group(lanes, 6)};
-  for (std::size_t i = 0; i < per_lane; i += 2) {
-    for (std::size_t g = 0; g < 4; ++g) {
-      const __m128i r0 = next2(q[g]);
-      const __m128i r1 = next2(q[g]);
-      const __m128i c0 = _mm_unpacklo_epi64(r0, r1);
-      const __m128i c1 = _mm_unpackhi_epi64(r0, r1);
-      const __m128d d0 = u64lt53_to_double(_mm_srli_epi64(c0, 11));
-      const __m128d d1 = u64lt53_to_double(_mm_srli_epi64(c1, 11));
-      double* base = out + 2 * g * per_lane;
-      _mm_storeu_pd(base + i, _mm_mul_pd(d0, scale));
-      _mm_storeu_pd(base + per_lane + i, _mm_mul_pd(d1, scale));
-    }
-  }
-  for (std::size_t g = 0; g < 4; ++g) store_group(lanes, 2 * g, q[g]);
-}
 
 }  // namespace
 
-FillFn fill_sse4() { return &fill_sse4_impl; }
-FillU01Fn fill_u01_sse4() { return &fill_u01_sse4_impl; }
-ConvertU01Fn convert_u01_sse4() { return &convert_u01_sse4_impl; }
+const Kernels* sse4_kernels() { return &FillKernel<Sse4>::kTable; }
 
 }  // namespace streamflow::simd
 
 #else  // !defined(__SSE4_1__)
 
-namespace streamflow::simd {
-FillFn fill_sse4() { return nullptr; }
-FillU01Fn fill_u01_sse4() { return nullptr; }
-ConvertU01Fn convert_u01_sse4() { return nullptr; }
-}  // namespace streamflow::simd
+const streamflow::simd::Kernels* streamflow::simd::sse4_kernels() {
+  return nullptr;
+}
 
 #endif

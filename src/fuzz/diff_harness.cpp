@@ -12,6 +12,7 @@
 #include "engine/sim_replication.hpp"
 #include "fuzz/minimize.hpp"
 #include "maxplus/deterministic.hpp"
+#include "serve/protocol.hpp"
 
 namespace streamflow {
 
@@ -27,30 +28,6 @@ std::string fmt(double value) {
   os.precision(17);
   os << value;
   return os.str();
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct SimEstimate {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/buffered_prng.hpp"
@@ -30,6 +31,9 @@ using testing::single_comm_mapping;
 // A deliberately small block (3 refills over 300 draws) so every test
 // crosses refill boundaries many times. Must be a multiple of kLanes * 8.
 constexpr std::size_t kSmallBlock = simd::kLanes * 8 * 3;
+// The smallest legal block, where the widest kernel's loop runs exactly once
+// per lane, pinned beside kSmallBlock by the two stream byte-equality tests.
+constexpr std::size_t kBlocks[] = {simd::kLanes * 8, kSmallBlock};
 
 std::vector<simd::Isa> isas() { return simd::available_isas(); }
 
@@ -38,17 +42,22 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndAutoResolves) {
   const simd::Isa best = simd::best_isa();
   EXPECT_NE(best, simd::Isa::kAuto);
   EXPECT_TRUE(simd::isa_available(best));
-  EXPECT_NE(simd::fill_fn(simd::Isa::kAuto), nullptr);
-  EXPECT_NE(simd::fill_u01_fn(simd::Isa::kAuto), nullptr);
+  const simd::Kernels& kernels = simd::kernels(simd::Isa::kAuto);
+  EXPECT_NE(kernels.fill, nullptr);
+  EXPECT_NE(kernels.fill_u01, nullptr);
+  EXPECT_NE(kernels.convert_u01, nullptr);
 }
 
 TEST(BufferedPrng, RawStreamByteEqualOnEveryIsa) {
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    Prng scalar(12345);
-    BufferedPrng buffered(Prng(12345), isa, kSmallBlock);
-    for (std::size_t i = 0; i < 10 * kSmallBlock + 7; ++i) {
-      ASSERT_EQ(buffered.next_u64(), scalar()) << "draw " << i;
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      Prng scalar(12345);
+      BufferedPrng buffered(Prng(12345), isa, block);
+      for (std::size_t i = 0; i < 10 * block + 7; ++i) {
+        ASSERT_EQ(buffered.next_u64(), scalar()) << "draw " << i;
+      }
     }
   }
 }
@@ -68,20 +77,23 @@ TEST(BufferedPrng, ContinuesFromMidStreamState) {
 
 TEST(BufferedPrng, Uniform01ByteEqualIncludingPartialDrains) {
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    Prng scalar(7);
-    BufferedPrng buffered(Prng(7), isa, kSmallBlock);
-    // Interleave scalar-wise consumption with bulk fills of awkward sizes so
-    // the bulk path starts both block-aligned and mid-block.
-    const std::size_t chunks[] = {5,   kSmallBlock - 5, 1, 2 * kSmallBlock + 3,
-                                  129, kSmallBlock,     31};
-    for (const std::size_t chunk : chunks) {
-      ASSERT_EQ(buffered.uniform01(), scalar.uniform01());
-      std::vector<double> bulk(chunk);
-      buffered.fill_uniform01(bulk.data(), bulk.size());
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const double expected = scalar.uniform01();
-        ASSERT_EQ(bulk[i], expected) << "chunk " << chunk << " index " << i;
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      Prng scalar(7);
+      BufferedPrng buffered(Prng(7), isa, block);
+      // Interleave scalar-wise consumption with bulk fills of awkward sizes
+      // so the bulk path starts both block-aligned and mid-block.
+      const std::size_t chunks[] = {5,   block - 5, 1, 2 * block + 3,
+                                    129, block,     31};
+      for (const std::size_t chunk : chunks) {
+        ASSERT_EQ(buffered.uniform01(), scalar.uniform01());
+        std::vector<double> bulk(chunk);
+        buffered.fill_uniform01(bulk.data(), bulk.size());
+        for (std::size_t i = 0; i < chunk; ++i) {
+          const double expected = scalar.uniform01();
+          ASSERT_EQ(bulk[i], expected) << "chunk " << chunk << " index " << i;
+        }
       }
     }
   }
