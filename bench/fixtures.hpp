@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "model/mapping.hpp"
+#include "tpn/columns.hpp"
 
 namespace streamflow::bench {
 
@@ -65,6 +66,20 @@ inline Mapping single_comm(std::size_t u, std::size_t v, double d = 1.0,
   for (std::size_t a = 0; a < u; ++a) senders[a] = a;
   for (std::size_t b = 0; b < v; ++b) receivers[b] = u + b;
   return Mapping(std::move(app), std::move(platform), {senders, receivers});
+}
+
+/// A heterogeneous u x v pattern TEG (gcd(u, v) = 1): link times spread
+/// over [0.5, 1.5] so no two neighbouring links share a rate.
+inline TimedEventGraph heterogeneous_pattern(std::size_t u, std::size_t v) {
+  CommPattern pattern;
+  pattern.u = u;
+  pattern.v = v;
+  for (std::size_t a = 0; a < u; ++a) pattern.senders.push_back(a);
+  for (std::size_t b = 0; b < v; ++b) pattern.receivers.push_back(u + b);
+  for (std::size_t t = 0; t < u * v; ++t) {
+    pattern.durations.push_back(0.5 + 0.1 * static_cast<double>((t * 7) % 11));
+  }
+  return build_pattern_teg(pattern);
 }
 
 }  // namespace streamflow::bench

@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks of the core algorithms: TPN construction,
-// critical-cycle analysis, Young-pattern CTMC, reachability, and both
+// critical-cycle analysis, Young-pattern CTMC, reachability (Strict nets
+// and heterogeneous 5x6 / 6x7 patterns, items = states), and both
 // simulators. Complements the figure benches (which reproduce the paper)
 // with regression-trackable per-algorithm numbers.
 #include <benchmark/benchmark.h>
 
 #include "core/analyzer.hpp"
+#include "fixtures.hpp"
 #include "markov/throughput.hpp"
 #include "maxplus/deterministic.hpp"
 #include "model/random_instance.hpp"
@@ -86,6 +88,22 @@ void BM_ReachabilityStrict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReachabilityStrict)->Arg(4)->Arg(8);
+
+void BM_ReachabilityPattern(benchmark::State& state) {
+  const auto u = static_cast<std::size_t>(state.range(0));
+  const TimedEventGraph g = bench::heterogeneous_pattern(u, u + 1);
+  const auto rates = rates_from_durations(g);
+  std::size_t states = 0;
+  for (auto _ : state) {
+    const TpnMarkovChain chain = explore_markings(g, rates);
+    states = chain.num_states;
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(states));
+  state.SetLabel(std::to_string(states) + " states");
+}
+BENCHMARK(BM_ReachabilityPattern)->Arg(5)->Arg(6);
 
 void BM_TegSim(benchmark::State& state) {
   const Mapping mapping = bench_mapping(64);

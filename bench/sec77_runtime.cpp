@@ -3,7 +3,8 @@
 // about three minutes at 100,000. This bench times every pipeline of the
 // reproduction on the Fig 10 system (m = 420 rows), then sweeps the state
 // count of the stationary solve to measure the dense/Gauss–Seidel
-// crossover behind GeneralMethodOptions::dense_threshold.
+// crossover behind GeneralMethodOptions::dense_threshold, timing the
+// reachability pass (reach_ms) of each chain beside its solves.
 //
 //   ./build/bench_sec77_runtime [--csv] [--quick] [--json PATH]
 #include <algorithm>
@@ -24,20 +25,6 @@ namespace {
 
 using namespace streamflow;
 using namespace streamflow::bench;
-
-/// A heterogeneous u x v pattern (gcd(u, v) = 1): link times spread over
-/// [0.5, 1.5] so no two neighbouring links share a rate.
-TimedEventGraph heterogeneous_pattern(std::size_t u, std::size_t v) {
-  CommPattern pattern;
-  pattern.u = u;
-  pattern.v = v;
-  for (std::size_t a = 0; a < u; ++a) pattern.senders.push_back(a);
-  for (std::size_t b = 0; b < v; ++b) pattern.receivers.push_back(u + b);
-  for (std::size_t t = 0; t < u * v; ++t) {
-    pattern.durations.push_back(0.5 + 0.1 * static_cast<double>((t * 7) % 11));
-  }
-  return build_pattern_teg(pattern);
-}
 
 /// A two-stage Overlap chain with finite buffers: a line-shaped, slowly
 /// mixing chain, the hard case for Gauss–Seidel.
@@ -78,9 +65,23 @@ SolveTiming time_solve(const TimedEventGraph& graph,
   return timing;
 }
 
-/// Solves each chain both ways, in ascending state count. Returns the
-/// smallest measured state count from which Gauss–Seidel is faster at every
-/// larger size of the family (0: no such size).
+/// Mean wall time of explore_markings, repeated until `budget` seconds
+/// have passed.
+double time_reach(const TimedEventGraph& graph,
+                  const std::vector<double>& rates,
+                  const ReachabilityOptions& reach, double budget) {
+  std::size_t reps = 0;
+  Stopwatch sw;
+  do {
+    (void)explore_markings(graph, rates, reach);
+    ++reps;
+  } while (sw.seconds() < budget);
+  return sw.seconds() / static_cast<double>(reps);
+}
+
+/// Explores and solves each chain both ways, in ascending state count.
+/// Returns the smallest measured state count from which Gauss–Seidel is
+/// faster at every larger size of the family (0: no such size).
 std::size_t crossover_sweep(const std::string& family,
                             const std::vector<TimedEventGraph>& graphs,
                             const std::vector<ReachabilityOptions>& reach,
@@ -91,6 +92,7 @@ std::size_t crossover_sweep(const std::string& family,
   for (std::size_t k = 0; k < graphs.size(); ++k) {
     const std::vector<double> rates = rates_from_durations(graphs[k]);
     const TpnMarkovChain chain = explore_markings(graphs[k], rates, reach[k]);
+    const double reach_s = time_reach(graphs[k], rates, reach[k], budget);
     const SolveTiming dense = time_solve(graphs[k], chain, rates, true, budget);
     const SolveTiming gs = time_solve(graphs[k], chain, rates, false, budget);
     const double rel = std::fabs(gs.flow - dense.flow) / dense.flow;
@@ -100,11 +102,12 @@ std::size_t crossover_sweep(const std::string& family,
       gs_wins_from = speedup > 1.0 ? chain.num_states : 0;
     }
     table.add_row({family, static_cast<std::int64_t>(chain.num_states),
-                   dense.seconds * 1e3, gs.seconds * 1e3,
+                   reach_s * 1e3, dense.seconds * 1e3, gs.seconds * 1e3,
                    static_cast<std::int64_t>(gs.solver.sweeps), speedup});
     JsonObject point;
     point.set("states", chain.num_states)
         .set("edges", chain.edges.size())
+        .set("reach_ms", reach_s * 1e3)
         .set("dense_ms", dense.seconds * 1e3)
         .set("gauss_seidel_ms", gs.seconds * 1e3)
         .set("sweeps", gs.solver.sweeps)
@@ -196,7 +199,8 @@ int main(int argc, char** argv) {
     tandem_reach.push_back(ReachabilityOptions{.place_capacity = capacity});
   }
   Table sweep(
-      {"family", "states", "dense_ms", "gs_ms", "gs_sweeps", "gs_speedup"});
+      {"family", "states", "reach_ms", "dense_ms", "gs_ms", "gs_sweeps",
+       "gs_speedup"});
   JsonObject crossover;
   double worst_rel = 0.0;
   const std::size_t pattern_from = crossover_sweep(
@@ -208,7 +212,8 @@ int main(int argc, char** argv) {
   crossover.set("dense_threshold", threshold)
       .set("pattern_worst_rel_diff", worst_rel)
       .set("tandem_worst_rel_diff", tandem_rel);
-  emit(sweep, "stationary solve: dense LU vs Gauss–Seidel", args);
+  emit(sweep, "reachability and stationary solve: dense LU vs Gauss–Seidel",
+       args);
 
   std::ostringstream worst;
   worst << worst_rel;

@@ -10,6 +10,15 @@
 // while one of its output flow places is full. The capped chain
 // under-estimates the true throughput and converges to it as the capacity
 // grows (the exact Overlap analysis is the column method of Theorem 3).
+//
+// Exploration is a breadth-first pass over one flat arena: each marking is
+// one byte per place, zero-padded to a multiple of 8 bytes, stored in
+// discovery order, so state id = BFS discovery order and every chain is a
+// pure function of the net. Duplicate markings are found through an
+// open-addressed table of 32-bit state ids keyed by an incremental hash
+// (each firing adds a per-transition delta). State ids and edge counts are
+// 32-bit: a chain that would pass 2^32 - 1 states or edges throws
+// CapacityExceeded, the same limit the Gauss–Seidel index enforces.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +37,13 @@ struct ReachabilityOptions {
 };
 
 /// One CTMC edge: in marking `from`, transition `transition` fires (rate =
-/// rates[transition]) and leads to marking `to`.
+/// rates[transition]) and leads to marking `to`. States are numbered in BFS
+/// discovery order (0 is the initial marking); the fields are 32-bit, which
+/// explore_markings guarantees by throwing CapacityExceeded first.
 struct CtmcEdge {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  std::size_t transition = 0;
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  std::uint32_t transition = 0;
 };
 
 /// The reachability CTMC of a TEG.
@@ -44,9 +55,12 @@ struct TpnMarkovChain {
   bool capacity_clipped = false;
 };
 
-/// Explores all markings reachable from the initial marking.
-/// `rates[t]` is the exponential firing rate of transition t (all > 0).
-/// Throws CapacityExceeded if max_states is hit.
+/// Explores all markings reachable from the initial marking. Edges are
+/// listed by source state, then by transition id.
+/// `rates[t]` is the exponential firing rate of transition t (all > 0), and
+/// every place's initial tokens must fit in a byte (InvalidArgument
+/// otherwise). Throws CapacityExceeded if max_states or the 32-bit state or
+/// edge limit is hit.
 TpnMarkovChain explore_markings(const TimedEventGraph& graph,
                                 const std::vector<double>& rates,
                                 const ReachabilityOptions& options = {});

@@ -40,7 +40,7 @@ InEdgeGenerator in_edge_generator(const TpnMarkovChain& chain,
   q.exit.assign(n, 0.0);
   for (const CtmcEdge& e : chain.edges) {
     if (e.from == e.to) continue;  // self-loops cancel in the generator
-    ++q.offset[e.to + 2];
+    ++q.offset[std::size_t{e.to} + 2];
     q.exit[e.from] += rates[e.transition];
   }
   for (std::size_t j = 2; j < n + 2; ++j) q.offset[j] += q.offset[j - 1];
@@ -48,8 +48,8 @@ InEdgeGenerator in_edge_generator(const TpnMarkovChain& chain,
   q.rate.resize(q.offset[n + 1]);
   for (const CtmcEdge& e : chain.edges) {
     if (e.from == e.to) continue;
-    const std::uint32_t k = q.offset[e.to + 1]++;
-    q.source[k] = static_cast<std::uint32_t>(e.from);
+    const std::uint32_t k = q.offset[std::size_t{e.to} + 1]++;
+    q.source[k] = e.from;
     q.rate[k] = rates[e.transition];
   }
   q.offset.pop_back();

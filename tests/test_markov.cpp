@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <numeric>
 #include <string>
+#include <tuple>
 
 #include "markov/throughput.hpp"
 #include "test_helpers.hpp"
@@ -81,6 +85,169 @@ TEST(Reachability, RejectsBadRates) {
   g.finalize();
   EXPECT_THROW(explore_markings(g, {0.0}), InvalidArgument);
   EXPECT_THROW(explore_markings(g, {1.0, 1.0}), InvalidArgument);
+}
+
+TEST(Reachability, RejectsInitialTokensAboveAByte) {
+  // A marking holds one byte per place: 256 tokens used to wrap to 0 and
+  // 300 to 44, exploring the wrong chain without an error.
+  for (int tokens : {256, 300}) {
+    TimedEventGraph g(2, 1);
+    g.add_transition(Transition{.duration = 1.0});
+    g.add_transition(Transition{.row = 1, .duration = 1.0});
+    g.add_place(Place{0, 1, PlaceKind::kFlow, tokens});
+    g.add_place(Place{1, 0, PlaceKind::kFlow, 0});
+    g.finalize();
+    EXPECT_THROW(explore_markings(g, {1.0, 1.0}), InvalidArgument) << tokens;
+  }
+  // 255 tokens fit: on a two-place ring at capacity 255 every split of
+  // them is a state.
+  TimedEventGraph g(2, 1);
+  g.add_transition(Transition{.duration = 1.0});
+  g.add_transition(Transition{.row = 1, .duration = 1.0});
+  g.add_place(Place{0, 1, PlaceKind::kFlow, 255});
+  g.add_place(Place{1, 0, PlaceKind::kFlow, 0});
+  g.finalize();
+  ReachabilityOptions options;
+  options.place_capacity = 255;
+  const auto chain = explore_markings(g, {1.0, 1.0}, options);
+  EXPECT_EQ(chain.num_states, 256u);
+  EXPECT_FALSE(chain.capacity_clipped);
+}
+
+TEST(Reachability, StateCapBoundary) {
+  // A cap equal to the reachable state count is enough; one below it
+  // throws when the last new marking is discovered.
+  const Mapping mapping = testing::replicated_chain_mapping(2, 3, 2);
+  const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kStrict);
+  const auto rates = rates_from_durations(g);
+  const std::size_t reachable = explore_markings(g, rates).num_states;
+  ASSERT_GT(reachable, 1u);
+  ReachabilityOptions exact;
+  exact.max_states = reachable;
+  EXPECT_EQ(explore_markings(g, rates, exact).num_states, reachable);
+  ReachabilityOptions short_by_one;
+  short_by_one.max_states = reachable - 1;
+  try {
+    (void)explore_markings(g, rates, short_by_one);
+    FAIL() << "expected CapacityExceeded";
+  } catch (const CapacityExceeded& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "marking exploration exceeded max_states=" +
+                  std::to_string(reachable - 1) +
+                  "; use the column decomposition or raise the cap");
+  }
+}
+
+/// The reference explorer: a std::map of markings and a std::deque BFS
+/// frontier, with the same firing and capacity rules as explore_markings.
+struct ReferenceChain {
+  std::size_t num_states = 0;
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> edges;
+  bool capacity_clipped = false;
+};
+
+ReferenceChain reference_explore(const TimedEventGraph& g, int capacity) {
+  using Marking = std::vector<int>;
+  Marking initial;
+  for (const Place& p : g.places()) initial.push_back(p.initial_tokens);
+  std::map<Marking, std::size_t> index{{initial, 0}};
+  std::deque<Marking> frontier{initial};
+  ReferenceChain chain;
+  chain.num_states = 1;
+  for (std::size_t from = 0; !frontier.empty(); ++from) {
+    const Marking m = frontier.front();
+    frontier.pop_front();
+    for (std::size_t t = 0; t < g.num_transitions(); ++t) {
+      bool enabled = true;
+      for (std::size_t pid : g.input_places(t)) enabled &= m[pid] > 0;
+      if (!enabled) continue;
+      for (std::size_t pid : g.output_places(t)) {
+        const Place& p = g.place(pid);
+        if (p.from == p.to || m[pid] < capacity) continue;
+        EXPECT_EQ(p.kind, PlaceKind::kFlow) << "resource place overflowed";
+        chain.capacity_clipped = true;
+        enabled = false;
+        break;
+      }
+      if (!enabled) continue;
+      Marking next = m;
+      for (std::size_t pid : g.input_places(t)) --next[pid];
+      for (std::size_t pid : g.output_places(t)) ++next[pid];
+      const auto [it, inserted] = index.emplace(next, chain.num_states);
+      if (inserted) {
+        ++chain.num_states;
+        frontier.push_back(next);
+      }
+      chain.edges.emplace_back(from, it->second, t);
+    }
+  }
+  return chain;
+}
+
+/// Explores `g` and expects the reference's states, clipping flag and edge
+/// list, in order; returns the explored chain.
+TpnMarkovChain explore_like_reference(const TimedEventGraph& g, int capacity) {
+  ReachabilityOptions options;
+  options.place_capacity = capacity;
+  auto chain = explore_markings(g, rates_from_durations(g), options);
+  const ReferenceChain expected = reference_explore(g, capacity);
+  EXPECT_EQ(chain.num_states, expected.num_states);
+  EXPECT_EQ(chain.capacity_clipped, expected.capacity_clipped);
+  EXPECT_EQ(chain.edges.size(), expected.edges.size());
+  for (std::size_t k = 0;
+       k < std::min(chain.edges.size(), expected.edges.size()); ++k) {
+    const CtmcEdge& e = chain.edges[k];
+    EXPECT_EQ(std::make_tuple(std::size_t{e.from}, std::size_t{e.to},
+                              std::size_t{e.transition}),
+              expected.edges[k])
+        << "edge " << k;
+  }
+  return chain;
+}
+
+TEST(Reachability, MatchesReferenceOnHeterogeneousPattern) {
+  std::vector<double> times;
+  for (std::size_t k = 0; k < 20; ++k)
+    times.push_back(0.5 + 0.1 * static_cast<double>((k * 7) % 11));
+  const Mapping mapping =
+      testing::single_comm_mapping_heterogeneous(4, 5, times);
+  const TimedEventGraph teg = build_pattern_teg(comm_patterns(mapping, 0)[0]);
+  EXPECT_GT(explore_like_reference(teg, 8).num_states, 100u);
+}
+
+TEST(Reachability, MatchesReferenceOnClippedOverlapNet) {
+  const Mapping mapping = testing::chain_mapping({0.1, 10.0, 0.5}, {0.1, 1.0});
+  const TimedEventGraph g = build_tpn(mapping, ExecutionModel::kOverlap);
+  for (int capacity : {2, 4}) {
+    SCOPED_TRACE(capacity);
+    EXPECT_TRUE(explore_like_reference(g, capacity).capacity_clipped);
+  }
+}
+
+TEST(Reachability, MatchesReferenceOnStrictNet) {
+  const Mapping mapping = testing::replicated_chain_mapping(2, 3, 2);
+  const auto chain =
+      explore_like_reference(build_tpn(mapping, ExecutionModel::kStrict), 8);
+  EXPECT_GT(chain.num_states, 100u);
+  EXPECT_FALSE(chain.capacity_clipped);
+}
+
+TEST(Reachability, MatchesReferenceWithPaddedMarkings) {
+  // Nine places (three marked self-loops, then a 6-ring of flow places), so
+  // each stored marking carries seven bytes of padding and its last real
+  // byte, a ring place, varies; capacity 2 clips.
+  TimedEventGraph g(1, 6);
+  for (std::size_t t = 0; t < 6; ++t)
+    g.add_transition(Transition{
+        .column = t, .duration = 1.0 + 0.25 * static_cast<double>(t)});
+  for (std::size_t t = 0; t < 6; t += 2)
+    g.add_place(Place{t, t, PlaceKind::kResource, 1});
+  const int tokens[6] = {2, 0, 1, 0, 0, 0};
+  for (std::size_t t = 0; t < 6; ++t)
+    g.add_place(Place{t, (t + 1) % 6, PlaceKind::kFlow, tokens[t]});
+  g.finalize();
+  ASSERT_EQ(g.num_places() % 8, 1u);
+  EXPECT_TRUE(explore_like_reference(g, 2).capacity_clipped);
 }
 
 TEST(GeneralMethod, SingleServerRateIsLambda) {

@@ -48,6 +48,17 @@ for config in "${configs[@]}"; do
       echo "sampling bench: a batched stream is not byte-identical" >&2
       exit 1
     fi
+    # The runtime bench's crossover sweep checks Gauss–Seidel against dense
+    # LU to 1e-10 relative on every pattern chain and times the
+    # reachability pass (reach_ms) beside each solve. A "shape_ok":false
+    # verdict gates CI here; the timings stay print-only.
+    echo "==> ${config}: bench smoke (sec77 runtime + solver agreement)"
+    "./${build_dir}/bench_sec77_runtime" --quick \
+        --json "${build_dir}/BENCH_sec77_runtime.json"
+    if grep -q '"shape_ok":false' "${build_dir}/BENCH_sec77_runtime.json"; then
+      echo "sec77 bench: Gauss–Seidel disagrees with dense LU" >&2
+      exit 1
+    fi
     # The serve load generator SHAPE-checks the pattern-store contract end
     # to end (warm responses byte-identical to the cold baseline, warm
     # requests/sec win) and reports rps + p50/p95/p99 for both runs.
@@ -64,6 +75,7 @@ for config in "${configs[@]}"; do
     echo "==> ${config}: bench summary artifacts"
     cat "${build_dir}/BENCH_search_throughput.json"
     cat "${build_dir}/BENCH_sampling_throughput.json"
+    cat "${build_dir}/BENCH_sec77_runtime.json"
     cat "${build_dir}/BENCH_serve_load.json"
     cat "${build_dir}/FUZZ_report.json"
   fi
