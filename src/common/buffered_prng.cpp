@@ -154,7 +154,7 @@ std::size_t pick_block_draws(std::size_t concurrent_streams,
   constexpr std::size_t kBudgetBytes = 1u << 20;
   if (concurrent_streams == 0) concurrent_streams = 1;
   std::size_t block = BufferedPrng::kDefaultBlockDraws;
-  while (block > 16 * kGranule &&
+  while (block > kGranule &&
          (block * concurrent_streams * sizeof(std::uint64_t) > kBudgetBytes ||
           block / 2 >= expected_draws_per_stream)) {
     block /= 2;
@@ -166,14 +166,17 @@ BufferedPrng::BufferedPrng(const Prng& start, simd::Isa isa,
                            std::size_t block_draws)
     : RandomSource(start),  // carry over any pending cached normal deviate
       frontier_(start.state()),
-      buffer_(block_draws),
+      block_(block_draws),
       isa_(isa == simd::Isa::kAuto ? simd::best_isa() : isa),
       kernels_(&simd::kernels(isa_)),
       lane_jump_(nullptr),
       per_lane_(block_draws / simd::kLanes) {
   SF_REQUIRE(block_draws > 0 && block_draws % (simd::kLanes * 8) == 0,
              "block_draws must be a positive multiple of kLanes * 8");
-  lane_jump_ = &detail::lane_jump_tables(per_lane_);
+  buffer_ = std::make_unique_for_overwrite<std::uint64_t[]>(block_);
+  if (block_ >= kLaneJumpMinDraws) {
+    lane_jump_ = &detail::lane_jump_tables(per_lane_);
+  }
 }
 
 std::size_t BufferedPrng::take(const std::uint64_t** run,
@@ -181,7 +184,7 @@ std::size_t BufferedPrng::take(const std::uint64_t** run,
   SF_REQUIRE(max_draws > 0, "take of zero draws");
   if (pos_ == end_) refill();
   const std::size_t n = std::min(max_draws, end_ - pos_);
-  *run = buffer_.data() + pos_;
+  *run = buffer_.get() + pos_;
   pos_ += n;
   return n;
 }
@@ -193,22 +196,23 @@ void BufferedPrng::fill_uniform01(double* out, std::size_t n) {
   // see simd_fill.hpp).
   if (pos_ < end_) {
     const std::size_t m = std::min(n, end_ - pos_);
-    kernels_->convert_u01(buffer_.data() + pos_, out, m);
+    kernels_->convert_u01(buffer_.get() + pos_, out, m);
     pos_ += m;
     i += m;
   }
-  // Whole blocks convert in-kernel straight into the caller's buffer.
-  while (n - i >= buffer_.size()) {
+  // Whole lane-filled blocks convert in-kernel straight into the caller's
+  // buffer.
+  while (lane_jump_ != nullptr && n - i >= block_) {
     simd::LaneBlock lanes;
     seed_lanes(lanes);
     kernels_->fill_u01(lanes, out + i, per_lane_);
-    i += buffer_.size();
+    i += block_;
   }
-  // Remainder comes out of a fresh raw block.
+  // The rest comes out of fresh raw blocks.
   while (i < n) {
     refill();
     const std::size_t m = std::min(n - i, end_ - pos_);
-    kernels_->convert_u01(buffer_.data() + pos_, out + i, m);
+    kernels_->convert_u01(buffer_.get() + pos_, out + i, m);
     pos_ += m;
     i += m;
   }
@@ -224,11 +228,17 @@ void BufferedPrng::seed_lanes(simd::LaneBlock& lanes) {
 }
 
 void BufferedPrng::refill() {
-  simd::LaneBlock lanes;
-  seed_lanes(lanes);
-  kernels_->fill(lanes, buffer_.data(), per_lane_);
+  if (lane_jump_ == nullptr) {
+    Prng scalar(frontier_);
+    for (std::size_t i = 0; i < block_; ++i) buffer_[i] = scalar();
+    frontier_ = scalar.state();
+  } else {
+    simd::LaneBlock lanes;
+    seed_lanes(lanes);
+    kernels_->fill(lanes, buffer_.get(), per_lane_);
+  }
   pos_ = 0;
-  end_ = buffer_.size();
+  end_ = block_;
 }
 
 }  // namespace streamflow

@@ -10,12 +10,21 @@
 // reproduces the scalar stream byte-for-byte. Batching is therefore purely a
 // throughput optimization: every consumer sees the stream it would have seen
 // from the scalar engine.
+//
+// Short blocks (below kLaneJumpMinDraws raws) skip the lanes: the eight
+// jump-table applications of a lane refill, and the interning lock taken
+// once per block size at construction, cost more than stepping the scalar
+// state through the block's few hundred draws. Such a block is refilled by
+// Prng itself, so both refill paths serve the same stream by construction.
+// Measured per block, scalar stepping is 1.6-7x faster than a lane refill at
+// 64-256 raws on every ISA and ties at 512 (docs/ARCHITECTURE.md, "The
+// sampling layer").
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/prng.hpp"
 #include "common/simd_fill.hpp"
@@ -32,7 +41,9 @@ struct LaneJump;  // byte-table form of a GF(2) xoshiro step power (internal)
 /// overhead, small enough that (a) the buffers of all streams stay within a
 /// ~1 MiB budget and (b) a stream that only ever consumes a few hundred
 /// draws does not generate thousands it will discard. Always a multiple of
-/// simd::kLanes * 8, as BufferedPrng requires.
+/// simd::kLanes * 8, as BufferedPrng requires, and at least that granule
+/// (64 raws): the 540 transitions of a {2,4,3,5,2} TEG get 128-raw blocks,
+/// 0.55 MB in all, which refill by scalar stepping.
 std::size_t pick_block_draws(std::size_t concurrent_streams,
                              std::size_t expected_draws_per_stream);
 
@@ -47,6 +58,11 @@ class BufferedPrng final : public RandomSource {
   /// small enough to sit in L2. Multi-stream workloads shrink it through
   /// pick_block_draws().
   static constexpr std::size_t kDefaultBlockDraws = 16384;
+
+  /// Blocks of at least this many raws refill through the SIMD lanes;
+  /// shorter ones step the scalar state directly and never intern a jump
+  /// table.
+  static constexpr std::size_t kLaneJumpMinDraws = 512;
 
   /// Continue the stream from `start`'s current state (the parent Prng is
   /// not referenced afterwards and is left untouched). A pending cached
@@ -77,7 +93,7 @@ class BufferedPrng final : public RandomSource {
   void fill_uniform01(double* out, std::size_t n);
 
   simd::Isa isa() const { return isa_; }
-  std::size_t block_draws() const { return buffer_.size(); }
+  std::size_t block_draws() const { return block_; }
 
  private:
   void refill();
@@ -86,12 +102,15 @@ class BufferedPrng final : public RandomSource {
   void seed_lanes(simd::LaneBlock& lanes);
 
   std::array<std::uint64_t, 4> frontier_;  // scalar state at the buffer end
-  std::vector<std::uint64_t> buffer_;
+  std::unique_ptr<std::uint64_t[]> buffer_;  // block_ raws, never zero-filled
+  std::size_t block_;
   std::size_t pos_ = 0;
   std::size_t end_ = 0;
   simd::Isa isa_;
   const simd::Kernels* kernels_;
-  const detail::LaneJump* lane_jump_;  // T^per_lane tables, interned per size
+  /// T^per_lane tables, interned per size; null for short blocks, which
+  /// refill by scalar stepping.
+  const detail::LaneJump* lane_jump_;
   std::size_t per_lane_;
 };
 

@@ -7,6 +7,7 @@
 // variate sequence per substream is exactly sample(), sample(), ...
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -30,16 +31,23 @@ enum class SamplingMode {
 
 class BatchSampler {
  public:
-  /// Variates cached per refill: small enough that a stream consuming a few
-  /// hundred draws wastes little transform work past the end.
-  static constexpr std::size_t kDefaultVariateCache = 128;
+  /// Most variates cached per refill: small enough that a stream consuming a
+  /// few hundred draws wastes little transform work past the end.
+  static constexpr std::size_t kMaxVariateCache = 128;
+
+  /// Variates cached per refill on a raw block of `raw_block_draws`: a
+  /// quarter of the block, between 16 and kMaxVariateCache. A short block
+  /// belongs to a stream that consumes few draws, which should not transform
+  /// far past its end.
+  static constexpr std::size_t variate_cache(std::size_t raw_block_draws) {
+    return std::clamp<std::size_t>(raw_block_draws / 4, 16, kMaxVariateCache);
+  }
 
   BatchSampler(DistributionPtr law, const Prng& stream, simd::Isa isa,
-               std::size_t raw_block_draws,
-               std::size_t variate_cache = kDefaultVariateCache)
+               std::size_t raw_block_draws)
       : law_(std::move(law)),
         prng_(stream, isa, raw_block_draws),
-        cache_(variate_cache == 0 ? 1 : variate_cache) {}
+        cache_(variate_cache(raw_block_draws)) {}
 
   double next() {
     if (pos_ == end_) refill();

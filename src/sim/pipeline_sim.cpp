@@ -1,8 +1,10 @@
 #include "sim/pipeline_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
-#include <functional>
+#include <numeric>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -11,106 +13,228 @@ namespace streamflow {
 
 namespace {
 
-/// Rolling history of the last `window` values of a per-stage event series.
+/// Rolling history of the last values of a per-stage event series, in a
+/// power-of-two ring so that an index is one mask.
 class History {
  public:
-  explicit History(std::size_t window) : values_(std::max<std::size_t>(window, 1), 0.0) {}
+  explicit History(std::size_t window)
+      : values_(std::bit_ceil(std::max<std::size_t>(window, 1)), 0.0),
+        mask_(values_.size() - 1) {}
 
-  /// Value for data set n - back, where back <= window; data sets before the
-  /// first one are "ready at time 0".
+  /// Value for data set n - back, where back < window; data sets before the
+  /// first one are "ready at time 0". No test needed for those: n - back
+  /// wraps to a slot no data set m <= n has written yet (that would take
+  /// m = n - back + j * capacity with j >= 1, i.e. m > n), which still
+  /// holds its initial zero.
   double get(std::int64_t n, std::int64_t back) const {
-    const std::int64_t idx = n - back;
-    if (idx < 0) return 0.0;
-    return values_[static_cast<std::size_t>(idx) % values_.size()];
+    return values_[static_cast<std::uint64_t>(n - back) & mask_];
   }
 
   void set(std::int64_t n, double value) {
-    values_[static_cast<std::size_t>(n) % values_.size()] = value;
+    values_[static_cast<std::uint64_t>(n) & mask_] = value;
   }
 
  private:
   std::vector<double> values_;
+  std::uint64_t mask_;
 };
 
-/// Type-erased sampler for the paths where per-draw overhead is acceptable
-/// (scalar-compat mode, association multipliers).
-struct Sampler {
-  /// comp(i, n): computation time of stage i for data set n;
-  /// comm(i, n): transfer time of file F_i for data set n.
-  std::function<double(std::size_t, std::int64_t)> comp;
-  std::function<double(std::size_t, std::int64_t)> comm;
-};
-
-/// Independent-case fast path: one BatchSampler per (stage, team member)
-/// compute unit — the member's law is fixed, so inversion families get the
-/// vectorized transform — and one BufferedPrng per link, sampled per draw
-/// because the (sender, receiver) law varies with the round-robin phase.
-/// Stream indices are assigned in a fixed enumeration order (all compute
-/// units stage-major, then links), so results depend only on (inputs, seed).
-struct BatchedTimingSampler {
-  BatchedTimingSampler(const Mapping& mapping, const StochasticTiming& timing,
-                       const Prng& root, const PipelineSimOptions& options)
-      : mapping_(mapping), timing_(timing) {
+/// The round-robin layout of a mapping, flattened into slots. Data set n
+/// runs stage i on member n mod r_i of its team: comp slot comp_begin[i] +
+/// (n mod r_i). It sends file F_i from sender n mod r_i to receiver
+/// n mod r_{i+1}, a pair that repeats with period lcm(r_i, r_{i+1}): comm
+/// slot comm_begin[i] + (n mod that period). The run loop rolls one slot
+/// counter per stage and per link instead of dividing.
+struct RoundRobin {
+  explicit RoundRobin(const Mapping& mapping) {
     const std::size_t n_stages = mapping.num_stages();
-    std::size_t total_members = 0;
-    comp_offset_.reserve(n_stages);
+    comp_begin.push_back(0);
+    comm_begin.push_back(0);
     for (std::size_t i = 0; i < n_stages; ++i) {
-      comp_offset_.push_back(total_members);
-      total_members += mapping.team(i).size();
-    }
-    const std::size_t n_links = n_stages > 1 ? n_stages - 1 : 0;
-    const std::size_t block = pick_block_draws(
-        total_members + n_links, static_cast<std::size_t>(options.data_sets));
-    comp_samplers_.reserve(total_members);
-    std::size_t stream = 0;
-    for (std::size_t i = 0; i < n_stages; ++i) {
-      for (const std::size_t p : mapping.team(i)) {
-        comp_samplers_.emplace_back(timing.comp(p), root.split(stream++),
-                                    options.refill_isa, block);
+      const std::vector<std::size_t>& team = mapping.team(i);
+      processor.insert(processor.end(), team.begin(), team.end());
+      comp_begin.push_back(processor.size());
+      if (i + 1 == n_stages) break;
+      const std::vector<std::size_t>& next = mapping.team(i + 1);
+      const std::size_t period = std::lcm(team.size(), next.size());
+      for (std::size_t phase = 0; phase < period; ++phase) {
+        sender.push_back(team[phase % team.size()]);
+        receiver.push_back(next[phase % next.size()]);
       }
+      comm_begin.push_back(sender.size());
+    }
+  }
+
+  std::vector<std::size_t> comp_begin;  // stage -> first comp slot, N + 1
+  std::vector<std::size_t> processor;   // comp slot -> processor
+  std::vector<std::size_t> comm_begin;  // link -> first comm slot, N
+  std::vector<std::size_t> sender;      // comm slot -> sending processor
+  std::vector<std::size_t> receiver;    // comm slot -> receiving processor
+};
+
+/// The law of every comm slot, looked up once so that no draw pays
+/// StochasticTiming's checks.
+std::vector<const Distribution*> comm_laws(const StochasticTiming& timing,
+                                           const RoundRobin& rr) {
+  std::vector<const Distribution*> laws;
+  laws.reserve(rr.sender.size());
+  for (std::size_t k = 0; k < rr.sender.size(); ++k)
+    laws.push_back(timing.comm(rr.sender[k], rr.receiver[k]).get());
+  return laws;
+}
+
+// The samplers below serve run(): next_data_set() once at the start of each
+// data set, then comp(i, slot) and comm(i, slot) for stage i's computation
+// and file F_i's transfer in the current comp and comm slots.
+
+/// Independent case, scalar-compat: every draw from the injected stream in
+/// program order.
+class CompatSampler {
+ public:
+  CompatSampler(const StochasticTiming& timing, const RoundRobin& rr,
+                Prng& prng)
+      : comm_laws_(comm_laws(timing, rr)), prng_(prng) {
+    for (const std::size_t p : rr.processor)
+      comp_laws_.push_back(timing.comp(p).get());
+  }
+
+  void next_data_set() {}
+  double comp(std::size_t, std::size_t slot) {
+    return comp_laws_[slot]->sample(prng_);
+  }
+  double comm(std::size_t, std::size_t slot) {
+    return comm_laws_[slot]->sample(prng_);
+  }
+
+ private:
+  std::vector<const Distribution*> comp_laws_;  // by comp slot
+  std::vector<const Distribution*> comm_laws_;  // by comm slot
+  Prng& prng_;
+};
+
+/// Independent case, batched: one BatchSampler per comp slot — the
+/// member's law is fixed, so inversion families get the vectorized
+/// transform — and one BufferedPrng per link, sampled per draw because the
+/// (sender, receiver) law varies with the phase. Stream indices follow the
+/// slots (all comp slots stage-major, then the links), so results depend
+/// only on (inputs, seed).
+class BatchedSampler {
+ public:
+  BatchedSampler(const StochasticTiming& timing, const RoundRobin& rr,
+                 const Prng& root, const PipelineSimOptions& options)
+      : comm_laws_(comm_laws(timing, rr)) {
+    const std::size_t n_comp = rr.processor.size();
+    const std::size_t n_links = rr.comm_begin.size() - 1;
+    const std::size_t block = pick_block_draws(
+        n_comp + n_links, static_cast<std::size_t>(options.data_sets));
+    comp_samplers_.reserve(n_comp);
+    for (std::size_t slot = 0; slot < n_comp; ++slot) {
+      comp_samplers_.emplace_back(timing.comp(rr.processor[slot]),
+                                  root.split(slot), options.refill_isa, block);
     }
     comm_streams_.reserve(n_links);
     for (std::size_t i = 0; i < n_links; ++i) {
-      comm_streams_.emplace_back(root.split(stream++), options.refill_isa,
+      comm_streams_.emplace_back(root.split(n_comp + i), options.refill_isa,
                                  block);
     }
   }
 
-  double comp(std::size_t i, std::int64_t n) {
-    const auto& team = mapping_.team(i);
-    const auto member = static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(team.size()));
-    return comp_samplers_[comp_offset_[i] + member].next();
+  void next_data_set() {}
+  double comp(std::size_t, std::size_t slot) {
+    return comp_samplers_[slot].next();
   }
-
-  double comm(std::size_t i, std::int64_t n) {
-    const auto& senders = mapping_.team(i);
-    const auto& receivers = mapping_.team(i + 1);
-    const std::size_t p = senders[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(senders.size()))];
-    const std::size_t q = receivers[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(receivers.size()))];
-    return timing_.comm(p, q)->sample(comm_streams_[i]);
+  double comm(std::size_t i, std::size_t slot) {
+    return comm_laws_[slot]->sample(comm_streams_[i]);
   }
 
  private:
-  const Mapping& mapping_;
-  const StochasticTiming& timing_;
-  std::vector<std::size_t> comp_offset_;
-  std::vector<BatchSampler> comp_samplers_;
+  std::vector<const Distribution*> comm_laws_;  // by comm slot
+  std::vector<BatchSampler> comp_samplers_;      // by comp slot
   std::vector<BufferedPrng> comm_streams_;
 };
 
+/// Associated case: multipliers drawn once per data set scale the
+/// deterministic times. kPerDataSet: ONE multiplier per data set drives
+/// every time along its path (§6.2: the data set's size). kPerStage:
+/// independent multipliers per stage/file, the degenerate control.
+///
+/// Batched mode: one BatchSampler per multiplier slot (a single shared slot
+/// for kPerDataSet; one per stage and per link for kPerStage), each on its
+/// own pure substream of the entry state, consumed in data-set order.
+/// Scalar-compat mode leaves slot_samplers_ empty and draws from the
+/// injected stream inline.
+class AssociatedSampler {
+ public:
+  AssociatedSampler(const Mapping& mapping, const RoundRobin& rr,
+                    DistributionPtr unit_law, Prng& prng,
+                    const PipelineSimOptions& options, AssociationScope scope)
+      : unit_law_(std::move(unit_law)),
+        prng_(prng),
+        scope_(scope),
+        work_mult_(mapping.num_stages(), 1.0),
+        size_mult_(rr.comm_begin.size() - 1, 1.0) {
+    for (const std::size_t p : rr.processor)
+      comp_time_.push_back(mapping.comp_time(p));
+    for (std::size_t k = 0; k < rr.sender.size(); ++k)
+      comm_time_.push_back(mapping.comm_time(rr.sender[k], rr.receiver[k]));
+    if (options.sampling != SamplingMode::kBatched) return;
+    const Prng root = prng;
+    (void)prng();
+    const std::size_t n_slots = scope == AssociationScope::kPerDataSet
+                                    ? 1
+                                    : work_mult_.size() + size_mult_.size();
+    const std::size_t block = pick_block_draws(
+        n_slots, static_cast<std::size_t>(options.data_sets));
+    slot_samplers_.reserve(n_slots);
+    for (std::size_t k = 0; k < n_slots; ++k) {
+      slot_samplers_.emplace_back(unit_law_, root.split(k), options.refill_isa,
+                                  block);
+    }
+  }
+
+  void next_data_set() {
+    if (scope_ == AssociationScope::kPerDataSet) {
+      const double shared = draw(0);
+      for (double& w : work_mult_) w = shared;
+      for (double& s : size_mult_) s = shared;
+      return;
+    }
+    std::size_t slot = 0;
+    for (double& w : work_mult_) w = draw(slot++);
+    for (double& s : size_mult_) s = draw(slot++);
+  }
+  double comp(std::size_t i, std::size_t slot) const {
+    return work_mult_[i] * comp_time_[slot];
+  }
+  double comm(std::size_t i, std::size_t slot) const {
+    return size_mult_[i] * comm_time_[slot];
+  }
+
+ private:
+  double draw(std::size_t slot) {
+    return slot_samplers_.empty() ? unit_law_->sample(prng_)
+                                  : slot_samplers_[slot].next();
+  }
+
+  DistributionPtr unit_law_;
+  Prng& prng_;
+  AssociationScope scope_;
+  std::vector<double> work_mult_;
+  std::vector<double> size_mult_;
+  std::vector<double> comp_time_;  // by comp slot
+  std::vector<double> comm_time_;  // by comm slot
+  std::vector<BatchSampler> slot_samplers_;
+};
+
 template <typename SamplerT>
-PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
-                      SamplerT& sampler,
-                      const PipelineSimOptions& options) {
+PipelineSimResult run(ExecutionModel model, const RoundRobin& rr,
+                      SamplerT& sampler, const PipelineSimOptions& options) {
   options.validate();
 
-  const std::size_t n_stages = mapping.num_stages();
+  const std::size_t n_stages = rr.comp_begin.size() - 1;
   std::vector<std::int64_t> r(n_stages);
   for (std::size_t i = 0; i < n_stages; ++i)
-    r[i] = static_cast<std::int64_t>(mapping.replication(i));
+    r[i] = static_cast<std::int64_t>(rr.comp_begin[i + 1] - rr.comp_begin[i]);
 
   // comp_done[i]: completion of stage i's computation for data set n.
   // xfer_done[i]: completion of file F_i's transfer for data set n.
@@ -125,6 +249,11 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
     xfer_done.emplace_back(
         static_cast<std::size_t>(std::max(r[i], r[i + 1])) + 1);
   }
+  // The current data set's comp slot per stage and comm slot per link.
+  std::vector<std::size_t> comp_slot(rr.comp_begin.begin(),
+                                     rr.comp_begin.end() - 1);
+  std::vector<std::size_t> comm_slot(rr.comm_begin.begin(),
+                                     rr.comm_begin.end() - 1);
 
   const std::int64_t warmup = static_cast<std::int64_t>(
       options.warmup_fraction * static_cast<double>(options.data_sets));
@@ -143,6 +272,7 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
   std::int64_t latency_count = 0;
 
   for (std::int64_t n = 0; n < options.data_sets; ++n) {
+    sampler.next_data_set();
     double first_start = 0.0;
     for (std::size_t i = 0; i < n_stages; ++i) {
       // --- computation of stage i for data set n ------------------------
@@ -162,7 +292,7 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
       }
       // Strict, i > 0: the receive (transfer) already serialized the cycle.
       if (i == 0) first_start = ready;
-      comp_done[i].set(n, ready + sampler.comp(i, n));
+      comp_done[i].set(n, ready + sampler.comp(i, comp_slot[i]));
 
       // --- transfer of file F_i for data set n --------------------------
       if (i + 1 < n_stages) {
@@ -181,12 +311,13 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
           xfer_ready = std::max(xfer_ready, receiver_prev);
         }
         const double duration =
-            sampler.comm(i, n) / options.bandwidth_efficiency;
+            sampler.comm(i, comm_slot[i]) / options.bandwidth_efficiency;
         xfer_done[i].set(n, xfer_ready + duration);
       }
     }
     const double done = comp_done[n_stages - 1].get(n, 0);
-    const auto member = static_cast<std::size_t>(n % r_last);
+    const std::size_t member =
+        comp_slot[n_stages - 1] - rr.comp_begin[n_stages - 1];
     if (n < warmup) {
       member_start[member] = done;  // keeps the last pre-warmup completion
     } else {
@@ -198,6 +329,17 @@ PipelineSimResult run(const Mapping& mapping, ExecutionModel model,
       ++latency_count;
     }
     last_completion = std::max(last_completion, done);
+
+    for (std::size_t i = 0; i < n_stages; ++i) {
+      if (++comp_slot[i] == rr.comp_begin[i + 1]) {
+        comp_slot[i] = rr.comp_begin[i];
+      }
+    }
+    for (std::size_t i = 0; i + 1 < n_stages; ++i) {
+      if (++comm_slot[i] == rr.comm_begin[i + 1]) {
+        comm_slot[i] = rr.comm_begin[i];
+      }
+    }
   }
 
   PipelineSimResult result;
@@ -236,32 +378,18 @@ PipelineSimResult simulate_pipeline(const Mapping& mapping,
                                     const StochasticTiming& timing, Prng& prng,
                                     const PipelineSimOptions& options) {
   options.validate();
+  const RoundRobin rr(mapping);
   if (options.sampling == SamplingMode::kBatched) {
     // Per-resource substreams split from the stream's entry state; the
     // parent advances exactly one draw so back-to-back simulations on the
     // same injected stream see fresh substream families.
     const Prng root = prng;
     (void)prng();
-    BatchedTimingSampler sampler(mapping, timing, root, options);
-    return run(mapping, model, sampler, options);
+    BatchedSampler sampler(timing, rr, root, options);
+    return run(model, rr, sampler, options);
   }
-  Sampler sampler;
-  sampler.comp = [&mapping, &timing, &prng](std::size_t i, std::int64_t n) {
-    const auto& team = mapping.team(i);
-    const std::size_t p = team[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(team.size()))];
-    return timing.comp(p)->sample(prng);
-  };
-  sampler.comm = [&mapping, &timing, &prng](std::size_t i, std::int64_t n) {
-    const auto& senders = mapping.team(i);
-    const auto& receivers = mapping.team(i + 1);
-    const std::size_t p = senders[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(senders.size()))];
-    const std::size_t q = receivers[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(receivers.size()))];
-    return timing.comm(p, q)->sample(prng);
-  };
-  return run(mapping, model, sampler, options);
+  CompatSampler sampler(timing, rr, prng);
+  return run(model, rr, sampler, options);
 }
 
 PipelineSimResult simulate_pipeline(const Mapping& mapping,
@@ -276,74 +404,10 @@ PipelineSimResult simulate_pipeline_associated(
     const Mapping& mapping, ExecutionModel model, const Distribution& size_law,
     Prng& prng, const PipelineSimOptions& options, AssociationScope scope) {
   options.validate();
-  const DistributionPtr unit_law = size_law.with_mean(1.0);
-  const std::size_t n_stages = mapping.num_stages();
-
-  // kPerDataSet: ONE multiplier per data set drives every time along its
-  // path (§6.2: the data set's size). kPerStage: independent multipliers
-  // per stage/file, the degenerate control.
-  std::vector<double> work_mult(n_stages, 1.0);
-  std::vector<double> size_mult(n_stages > 1 ? n_stages - 1 : 0, 1.0);
-  std::int64_t drawn_for = -1;
-
-  // Batched mode: one BatchSampler per multiplier slot (a single shared
-  // slot for kPerDataSet; one per stage and per link for kPerStage), each
-  // on its own pure substream of the entry state, consumed in data-set
-  // order. Scalar-compat mode leaves slot_samplers empty and draws from the
-  // injected stream inline.
-  std::vector<BatchSampler> slot_samplers;
-  if (options.sampling == SamplingMode::kBatched) {
-    const Prng root = prng;
-    (void)prng();
-    const std::size_t n_slots = scope == AssociationScope::kPerDataSet
-                                    ? 1
-                                    : work_mult.size() + size_mult.size();
-    const std::size_t block = pick_block_draws(
-        n_slots, static_cast<std::size_t>(options.data_sets));
-    slot_samplers.reserve(n_slots);
-    for (std::size_t k = 0; k < n_slots; ++k) {
-      slot_samplers.emplace_back(unit_law, root.split(k), options.refill_isa,
-                                 block);
-    }
-  }
-
-  auto refresh = [&](std::int64_t n) {
-    if (drawn_for == n) return;
-    drawn_for = n;
-    const bool batched = !slot_samplers.empty();
-    if (scope == AssociationScope::kPerDataSet) {
-      const double shared =
-          batched ? slot_samplers[0].next() : unit_law->sample(prng);
-      for (double& w : work_mult) w = shared;
-      for (double& s : size_mult) s = shared;
-      return;
-    }
-    std::size_t slot = 0;
-    for (double& w : work_mult)
-      w = batched ? slot_samplers[slot++].next() : unit_law->sample(prng);
-    for (double& s : size_mult)
-      s = batched ? slot_samplers[slot++].next() : unit_law->sample(prng);
-  };
-
-  Sampler sampler;
-  sampler.comp = [&, unit_law](std::size_t i, std::int64_t n) {
-    refresh(n);
-    const auto& team = mapping.team(i);
-    const std::size_t p = team[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(team.size()))];
-    return work_mult[i] * mapping.comp_time(p);
-  };
-  sampler.comm = [&, unit_law](std::size_t i, std::int64_t n) {
-    refresh(n);
-    const auto& senders = mapping.team(i);
-    const auto& receivers = mapping.team(i + 1);
-    const std::size_t p = senders[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(senders.size()))];
-    const std::size_t q = receivers[static_cast<std::size_t>(
-        n % static_cast<std::int64_t>(receivers.size()))];
-    return size_mult[i] * mapping.comm_time(p, q);
-  };
-  return run(mapping, model, sampler, options);
+  const RoundRobin rr(mapping);
+  AssociatedSampler sampler(mapping, rr, size_law.with_mean(1.0), prng,
+                            options, scope);
+  return run(model, rr, sampler, options);
 }
 
 PipelineSimResult simulate_pipeline_associated(

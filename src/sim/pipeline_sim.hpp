@@ -15,6 +15,11 @@
 // work w_i(n) and file size delta_i(n) are drawn once and shared by all
 // resources touching that data set, creating the positive correlation the
 // paper studies (Theorem 8).
+//
+// The recurrence keeps each event series in a power-of-two ring and rolls
+// one round-robin slot counter per stage and per link, so a data set costs
+// no division. Every link's law is looked up once per (sender, receiver)
+// phase, lcm(|team_i|, |team_i+1|) of them, before the run.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "sim/teg_sim.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "common/prng.hpp"
@@ -21,47 +22,87 @@ std::vector<DistributionPtr> transition_laws(const TimedEventGraph& graph,
 
 namespace {
 
-/// Topological order of the token-free-place subgraph (exists by liveness).
-std::vector<std::size_t> token_free_topo_order(const TimedEventGraph& graph) {
-  std::vector<std::size_t> indegree(graph.num_transitions(), 0);
+/// The graph compiled once per call for the round loop. Slot s is the s-th
+/// transition in a topological order of the token-free-place subgraph
+/// (acyclic by liveness). Round k keeps one array [previous | current] of
+/// 2n completion times by slot, and slot s's input places are a uint32 CSR
+/// of indices into it: a place with a token reads its producer's previous
+/// round, a token-free place its producer's current one.
+struct RoundPlan {
+  std::vector<std::uint32_t> transition;    // slot -> transition id
+  std::vector<std::uint32_t> input_begin;   // slot -> first input, n + 1
+  std::vector<std::uint32_t> input_source;  // index into [previous | current]
+  std::vector<std::uint32_t> last_col;      // last-column transitions' slots
+};
+
+RoundPlan compile_plan(const TimedEventGraph& graph) {
+  const std::size_t n = graph.num_transitions();
+  if (2 * n > std::numeric_limits<std::uint32_t>::max() ||
+      graph.num_places() > std::numeric_limits<std::uint32_t>::max()) {
+    throw CapacityExceeded("event graph too large for a 32-bit round plan");
+  }
+  std::vector<std::size_t> indegree(n, 0);
   for (const Place& p : graph.places()) {
     if (p.initial_tokens == 0) ++indegree[p.to];
   }
-  std::vector<std::size_t> order;
-  order.reserve(graph.num_transitions());
+  RoundPlan plan;
+  plan.transition.reserve(n);
   std::vector<std::size_t> queue;
-  for (std::size_t t = 0; t < graph.num_transitions(); ++t)
+  for (std::size_t t = 0; t < n; ++t)
     if (indegree[t] == 0) queue.push_back(t);
   while (!queue.empty()) {
     const std::size_t t = queue.back();
     queue.pop_back();
-    order.push_back(t);
+    plan.transition.push_back(static_cast<std::uint32_t>(t));
     for (std::size_t pid : graph.output_places(t)) {
       const Place& p = graph.place(pid);
       if (p.initial_tokens > 0) continue;
       if (--indegree[p.to] == 0) queue.push_back(p.to);
     }
   }
-  SF_ASSERT(order.size() == graph.num_transitions(),
+  SF_ASSERT(plan.transition.size() == n,
             "token-free subgraph has a cycle: the net is not live");
-  return order;
+
+  const auto n32 = static_cast<std::uint32_t>(n);
+  std::vector<std::uint32_t> slot_of(n);
+  for (std::size_t s = 0; s < n; ++s)
+    slot_of[plan.transition[s]] = static_cast<std::uint32_t>(s);
+  plan.input_begin.reserve(n + 1);
+  plan.input_begin.push_back(0);
+  plan.input_source.reserve(graph.num_places());
+  for (const std::uint32_t t : plan.transition) {
+    // A place with w tokens hands firing k the token produced by the
+    // k-w-th firing of its producer (or an initial token, ready at 0).
+    for (const std::size_t pid : graph.input_places(t)) {
+      const Place& p = graph.place(pid);
+      const std::uint32_t from = slot_of[p.from];
+      plan.input_source.push_back(p.initial_tokens > 0 ? from : n32 + from);
+    }
+    plan.input_begin.push_back(
+        static_cast<std::uint32_t>(plan.input_source.size()));
+  }
+  for (const std::size_t t : graph.last_column_transitions())
+    plan.last_col.push_back(slot_of[t]);
+  SF_ASSERT(!plan.last_col.empty(), "graph has no last-column transitions");
+  return plan;
 }
 
-/// The (max,plus) round loop, generic over how transition t draws its
-/// firing time (scalar-compat: one shared stream in program order; batched:
-/// one BatchSampler per transition). Static dispatch — a per-draw
+/// The (max,plus) round loop over a compiled plan, generic over how slot s
+/// draws its firing time (scalar-compat: one shared stream in plan order;
+/// batched: one BatchSampler per slot). Static dispatch — a per-draw
 /// std::function here would cost exactly the call overhead the batched
 /// sampling layer exists to remove.
 template <typename DrawFn>
-TegSimResult run_rounds(const TimedEventGraph& graph,
-                        const TegSimOptions& options, DrawFn&& draw) {
-  const std::vector<std::size_t> order = token_free_topo_order(graph);
-
-  // prev[t] = completion of firing k-1, curr[t] = completion of firing k.
-  std::vector<double> prev(graph.num_transitions(), 0.0);
-  std::vector<double> curr(graph.num_transitions(), 0.0);
-  const std::vector<std::size_t> last_col = graph.last_column_transitions();
-  SF_ASSERT(!last_col.empty(), "graph has no last-column transitions");
+TegSimResult run_rounds(const RoundPlan& plan, const TegSimOptions& options,
+                        DrawFn&& draw) {
+  const std::size_t n = plan.transition.size();
+  // times[s] = completion of slot s's firing k-1, times[n + s] = firing k.
+  std::vector<double> times(2 * n, 0.0);
+  const double* const previous = times.data();
+  double* const current = times.data() + n;
+  const std::uint32_t* const begin = plan.input_begin.data();
+  const std::uint32_t* const source = plan.input_source.data();
+  const std::vector<std::uint32_t>& last_col = plan.last_col;
 
   const std::int64_t warmup_rounds = static_cast<std::int64_t>(
       options.warmup_fraction * static_cast<double>(options.rounds));
@@ -74,27 +115,21 @@ TegSimResult run_rounds(const TimedEventGraph& graph,
   std::vector<double> window_end(last_col.size(), 0.0);
 
   for (std::int64_t k = 1; k <= options.rounds; ++k) {
-    for (const std::size_t t : order) {
+    for (std::size_t s = 0; s < n; ++s) {
       double ready = 0.0;
-      for (const std::size_t pid : graph.input_places(t)) {
-        const Place& p = graph.place(pid);
-        // A place with w tokens hands firing k the token produced by the
-        // k-w-th firing of its producer (or an initial token, ready at 0).
-        const double avail =
-            p.initial_tokens > 0 ? prev[p.from] : curr[p.from];
-        ready = std::max(ready, avail);
-      }
-      curr[t] = ready + draw(t);
+      for (std::uint32_t e = begin[s]; e < begin[s + 1]; ++e)
+        ready = std::max(ready, times[source[e]]);
+      current[s] = ready + draw(s);
     }
     if (k == warmup_rounds) {
       for (std::size_t i = 0; i < last_col.size(); ++i)
-        window_start[i] = curr[last_col[i]];
+        window_start[i] = current[last_col[i]];
     }
-    prev.swap(curr);
+    std::copy(current, current + n, times.data());
   }
-  // prev now holds the final round's completions.
+  // Both halves now hold the final round's completions.
   for (std::size_t i = 0; i < last_col.size(); ++i)
-    window_end[i] = prev[last_col[i]];
+    window_end[i] = previous[last_col[i]];
 
   TegSimResult result;
   const std::int64_t measured_rounds =
@@ -130,28 +165,34 @@ TegSimResult simulate_teg(const TimedEventGraph& graph,
   SF_REQUIRE(laws.size() == graph.num_transitions(),
              "need one law per transition");
   options.validate();
+  const RoundPlan plan = compile_plan(graph);
 
   if (options.sampling == SamplingMode::kScalarCompat) {
-    return run_rounds(graph, options,
-                      [&](std::size_t t) { return laws[t]->sample(prng); });
+    std::vector<const Distribution*> slot_laws;
+    slot_laws.reserve(laws.size());
+    for (const std::uint32_t t : plan.transition)
+      slot_laws.push_back(laws[t].get());
+    return run_rounds(plan, options, [&](std::size_t s) {
+      return slot_laws[s]->sample(prng);
+    });
   }
 
   // Batched: transition t draws from the pure child substream split(t) of
-  // the stream's entry state. The parent is advanced exactly one draw so
-  // that back-to-back simulations on the same injected stream see fresh
-  // (decorrelated) substream families, as they did when draws were consumed
-  // inline.
+  // the stream's entry state, whatever its slot. The parent is advanced
+  // exactly one draw so that back-to-back simulations on the same injected
+  // stream see fresh (decorrelated) substream families, as they did when
+  // draws were consumed inline.
   const Prng root = prng;
   (void)prng();
   const std::size_t raw_block = pick_block_draws(
       laws.size(), static_cast<std::size_t>(options.rounds));
   std::vector<BatchSampler> samplers;
   samplers.reserve(laws.size());
-  for (std::size_t t = 0; t < laws.size(); ++t)
+  for (const std::uint32_t t : plan.transition)
     samplers.emplace_back(laws[t], root.split(t), options.refill_isa,
                           raw_block);
-  return run_rounds(graph, options,
-                    [&](std::size_t t) { return samplers[t].next(); });
+  return run_rounds(plan, options,
+                    [&](std::size_t s) { return samplers[s].next(); });
 }
 
 TegSimResult simulate_teg(const TimedEventGraph& graph,

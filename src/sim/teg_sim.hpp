@@ -7,6 +7,15 @@
 // firing duration, and w_p the initial marking of p (0 or 1 in our nets).
 // Processing transitions in topological order of the token-free subgraph
 // (acyclic by liveness) makes each round O(V + E).
+//
+// Each call compiles the graph once into a flat round plan: the
+// transitions in that order, and a uint32 CSR of their input places as
+// indices into one [previous round | current round] array of completion
+// times. A firing then reads its inputs straight from that array, with no
+// graph lookup. Batched samplers sit in plan order but keep the substream
+// of their transition id, and scalar-compat draws follow the plan order,
+// so the draws are those of the graph-walking loop (tests/test_sim.cpp
+// keeps it as a reference).
 #pragma once
 
 #include <cstdint>

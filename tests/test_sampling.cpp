@@ -30,10 +30,14 @@ using testing::single_comm_mapping;
 
 // A deliberately small block (3 refills over 300 draws) so every test
 // crosses refill boundaries many times. Must be a multiple of kLanes * 8.
+// Blocks this short refill by scalar stepping.
 constexpr std::size_t kSmallBlock = simd::kLanes * 8 * 3;
-// The smallest legal block, where the widest kernel's loop runs exactly once
-// per lane, pinned beside kSmallBlock by the two stream byte-equality tests.
-constexpr std::size_t kBlocks[] = {simd::kLanes * 8, kSmallBlock};
+// The smallest legal block and the smallest lane-filled one (where the
+// widest kernel's loop runs eight times per lane): every stream, transform
+// and sampler test runs on all three, so each ISA's lane kernels and the
+// scalar-stepped refill are both pinned to the scalar engine.
+constexpr std::size_t kBlocks[] = {simd::kLanes * 8, kSmallBlock,
+                                   BufferedPrng::kLaneJumpMinDraws};
 
 std::vector<simd::Isa> isas() { return simd::available_isas(); }
 
@@ -64,13 +68,16 @@ TEST(BufferedPrng, RawStreamByteEqualOnEveryIsa) {
 
 TEST(BufferedPrng, ContinuesFromMidStreamState) {
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    Prng scalar(99);
-    for (int i = 0; i < 1234; ++i) scalar();  // advance off block alignment
-    BufferedPrng buffered(scalar, isa, kSmallBlock);
-    Prng reference = scalar;
-    for (std::size_t i = 0; i < 3 * kSmallBlock; ++i) {
-      ASSERT_EQ(buffered.next_u64(), reference()) << "draw " << i;
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      Prng scalar(99);
+      for (int i = 0; i < 1234; ++i) scalar();  // advance off block alignment
+      BufferedPrng buffered(scalar, isa, block);
+      Prng reference = scalar;
+      for (std::size_t i = 0; i < 3 * block; ++i) {
+        ASSERT_EQ(buffered.next_u64(), reference()) << "draw " << i;
+      }
     }
   }
 }
@@ -113,19 +120,73 @@ TEST(BufferedPrng, TakeCoversTheStreamInOrder) {
   }
 }
 
+TEST(BufferedPrng, ShortAndLaneFilledBlocksServeTheScalarStream) {
+  // Blocks below kLaneJumpMinDraws refill by stepping the scalar state,
+  // longer ones through the lanes; both must serve the scalar stream to
+  // every reader, across block edges, after a carried-over cached normal.
+  static_assert(BufferedPrng::kLaneJumpMinDraws == 512);
+  for (const simd::Isa isa : isas()) {
+    for (const std::size_t block : {64, 128, 256, 512, 1024}) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      Prng scalar(77);
+      (void)scalar.normal01();  // leaves the polar method's second deviate
+      BufferedPrng buffered(scalar, isa, block);
+      ASSERT_EQ(buffered.normal01(), scalar.normal01());
+      for (int pass = 0; pass < 3; ++pass) {
+        for (std::size_t i = 0; i < block / 2 + 3; ++i) {
+          ASSERT_EQ(buffered.next_u64(), scalar()) << "draw " << i;
+        }
+        for (std::size_t covered = 0; covered < block + 5;) {
+          const std::uint64_t* run = nullptr;
+          const std::size_t n = buffered.take(&run, 37);
+          for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(run[i], scalar());
+          covered += n;
+        }
+        std::vector<double> bulk(2 * block + 11);
+        buffered.fill_uniform01(bulk.data(), bulk.size());
+        for (std::size_t i = 0; i < bulk.size(); ++i) {
+          ASSERT_EQ(bulk[i], scalar.uniform01()) << "index " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BufferedPrng, PickBlockDrawsStaysOnTheGranuleWithinBudget) {
+  constexpr std::size_t kGranule = simd::kLanes * 8;
+  for (const std::size_t streams : {1, 20, 540}) {
+    for (const std::size_t draws : {1, 266, 16'000, 1 << 20}) {
+      SCOPED_TRACE(std::to_string(streams) + " streams x " +
+                   std::to_string(draws) + " draws");
+      const std::size_t block = pick_block_draws(streams, draws);
+      EXPECT_EQ(block % kGranule, 0u);
+      EXPECT_GE(block, kGranule);
+      EXPECT_LE(block, BufferedPrng::kDefaultBlockDraws);
+      EXPECT_LE(block * streams * sizeof(std::uint64_t), std::size_t{1} << 20);
+    }
+  }
+  // The {2,4,3,5,2} TEG: 540 transitions drawing 266 times each.
+  EXPECT_EQ(pick_block_draws(540, 266), 128u);
+  EXPECT_EQ(pick_block_draws(1, 1), kGranule);
+}
+
 TEST(BufferedPrng, TransformsMatchScalarSource) {
   // The inherited RandomSource transforms (normal01 with its cached second
   // deviate, gamma, uniform_index rejection loops) consume the buffered raw
   // stream draw for draw like the scalar engine.
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    Prng scalar(31337);
-    BufferedPrng buffered(Prng(31337), isa, kSmallBlock);
-    for (int i = 0; i < 500; ++i) {
-      ASSERT_EQ(buffered.normal01(), scalar.normal01());
-      ASSERT_EQ(buffered.gamma(2.5), scalar.gamma(2.5));
-      ASSERT_EQ(buffered.uniform_index(97), scalar.uniform_index(97));
-      ASSERT_EQ(buffered.exponential(3.0), scalar.exponential(3.0));
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      Prng scalar(31337);
+      BufferedPrng buffered(Prng(31337), isa, block);
+      for (int i = 0; i < 500; ++i) {
+        ASSERT_EQ(buffered.normal01(), scalar.normal01());
+        ASSERT_EQ(buffered.gamma(2.5), scalar.gamma(2.5));
+        ASSERT_EQ(buffered.uniform_index(97), scalar.uniform_index(97));
+        ASSERT_EQ(buffered.exponential(3.0), scalar.exponential(3.0));
+      }
     }
   }
 }
@@ -139,36 +200,47 @@ TEST(SampleBatch, InversionFamiliesBitIdenticalToScalarLoop) {
       make_lognormal(0.0, 0.5),  make_hyperexponential(0.3, 1.0, 4.0),
   };
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    for (const DistributionPtr& law : laws) {
-      SCOPED_TRACE(law->name());
-      Prng scalar(4242);
-      BufferedPrng buffered(Prng(4242), isa, kSmallBlock);
-      std::vector<double> batch(777);  // not a multiple of any block size
-      law->sample_batch(buffered, batch.data(), batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const double expected = law->sample(scalar);
-        ASSERT_EQ(batch[i], expected) << "index " << i;
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      for (const DistributionPtr& law : laws) {
+        SCOPED_TRACE(law->name());
+        Prng scalar(4242);
+        BufferedPrng buffered(Prng(4242), isa, block);
+        std::vector<double> batch(777);  // not a multiple of any block size
+        law->sample_batch(buffered, batch.data(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const double expected = law->sample(scalar);
+          ASSERT_EQ(batch[i], expected) << "index " << i;
+        }
       }
     }
   }
 }
 
 TEST(BatchSamplerTest, ServesTheExactScalarSequence) {
+  // The blocks give 16-, 48- and 128-variate caches.
+  static_assert(BatchSampler::variate_cache(simd::kLanes * 8) == 16);
+  static_assert(BatchSampler::variate_cache(kSmallBlock) == 48);
+  static_assert(BatchSampler::variate_cache(BufferedPrng::kLaneJumpMinDraws) ==
+                BatchSampler::kMaxVariateCache);
   const DistributionPtr laws[] = {make_exponential_rate(0.8),
                                   make_gamma(0.7, 2.0)};
   for (const simd::Isa isa : isas()) {
-    SCOPED_TRACE(simd::isa_name(isa));
-    for (const DistributionPtr& law : laws) {
-      SCOPED_TRACE(law->name());
-      Prng stream(5);
-      const Prng reference = stream;  // BatchSampler must not touch `stream`
-      BatchSampler sampler(law, stream, isa, kSmallBlock, 16);
-      Prng scalar = reference;
-      for (int i = 0; i < 1000; ++i) {
-        ASSERT_EQ(sampler.next(), law->sample(scalar)) << "draw " << i;
+    for (const std::size_t block : kBlocks) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " block " +
+                   std::to_string(block));
+      for (const DistributionPtr& law : laws) {
+        SCOPED_TRACE(law->name());
+        Prng stream(5);
+        const Prng reference = stream;  // BatchSampler must not touch `stream`
+        BatchSampler sampler(law, stream, isa, block);
+        Prng scalar = reference;
+        for (int i = 0; i < 1000; ++i) {
+          ASSERT_EQ(sampler.next(), law->sample(scalar)) << "draw " << i;
+        }
+        ASSERT_EQ(stream.state(), reference.state());
       }
-      ASSERT_EQ(stream.state(), reference.state());
     }
   }
 }

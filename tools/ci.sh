@@ -37,9 +37,10 @@ for config in "${configs[@]}"; do
     # bit-identity verdicts, and the greedy/anneal/tabu portfolio.
     grep -q '"search_pruning"' "${build_dir}/BENCH_search_throughput.json"
     # The sampling bench is the guardrail for the SIMD refill layer. Its
-    # byte-identity records (the batched replication stream and every
-    # family's BatchSampler stream against the scalar engine) gate CI here;
-    # its timing verdicts, like every SHAPE line, are print-only.
+    # byte-identity records (the batched replication stream, every
+    # family's BatchSampler stream, and a short-block BatchSampler that
+    # refills by scalar stepping, each against the scalar engine) gate CI
+    # here; its timing verdicts, like every SHAPE line, are print-only.
     echo "==> ${config}: bench smoke (sampling throughput)"
     "./${build_dir}/bench_sampling_throughput" --quick \
         --json "${build_dir}/BENCH_sampling_throughput.json"
@@ -51,7 +52,8 @@ for config in "${configs[@]}"; do
     # The runtime bench's crossover sweep checks Gauss–Seidel against dense
     # LU to 1e-10 relative on every pattern chain and times the
     # reachability pass (reach_ms) beside each solve. A "shape_ok":false
-    # verdict gates CI here; the timings stay print-only.
+    # verdict gates CI here; the timings stay print-only, including the
+    # 10 s row bound recorded as "runtime_shape_ok".
     echo "==> ${config}: bench smoke (sec77 runtime + solver agreement)"
     "./${build_dir}/bench_sec77_runtime" --quick \
         --json "${build_dir}/BENCH_sec77_runtime.json"
