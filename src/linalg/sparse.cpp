@@ -19,11 +19,9 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   values_.reserve(triplets.size());
   for (std::size_t i = 0; i < triplets.size(); ++i) {
     const Triplet& t = triplets[i];
-    if (!values_.empty() && !col_index_.empty() &&
-        row_ptr_[t.row + 1] > row_ptr_[t.row] && col_index_.back() == t.col &&
-        // same row as the previous entry?
-        i > 0 && triplets[i - 1].row == t.row && triplets[i - 1].col == t.col) {
-      values_.back() += t.value;  // merge duplicate
+    // Sorted, so a duplicate directly follows the entry it merges into.
+    if (i > 0 && triplets[i - 1].row == t.row && triplets[i - 1].col == t.col) {
+      values_.back() += t.value;
       continue;
     }
     // row_ptr_ holds per-row counts during assembly.

@@ -16,9 +16,15 @@
 // discovery order, so state id = BFS discovery order and every chain is a
 // pure function of the net. Duplicate markings are found through an
 // open-addressed table of 32-bit state ids keyed by an incremental hash
-// (each firing adds a per-transition delta). State ids and edge counts are
-// 32-bit: a chain that would pass 2^32 - 1 states or edges throws
-// CapacityExceeded, the same limit the Gauss–Seidel index enforces.
+// (each firing adds a per-transition delta). Each state keeps the set of
+// transitions whose input places all hold a token, ⌈T/64⌉ 64-bit words per
+// state. A state first reached by firing t copies its parent's set and
+// re-tests only the transitions that read a place t changed. Expanding a
+// state walks its set bits in ascending order, so edges keep their
+// transition-id order and only those transitions get the output-capacity
+// check. State ids and edge counts are 32-bit: a chain that would pass
+// 2^32 - 1 states or edges throws CapacityExceeded, the same limit the
+// Gauss–Seidel index enforces.
 #pragma once
 
 #include <cstdint>

@@ -98,6 +98,18 @@ TEST(Csr, AssemblesAndMultiplies) {
   EXPECT_DOUBLE_EQ(z[2], 2.0);
 }
 
+TEST(Csr, MergesDuplicateInRowNoLongerThanThePrevious) {
+  // Row 1's duplicate (1,0) arrives when row 1 holds no more entries than
+  // row 0; it must still be summed into one entry.
+  std::vector<Triplet> t{{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 3.0}, {1, 0, 4.0}};
+  CsrMatrix m(2, 2, t);
+  EXPECT_EQ(m.nonzeros(), 3u);
+  EXPECT_EQ(m.row_end(1) - m.row_begin(1), 1u);
+  const auto y = m.multiply({1.0, 10.0});
+  EXPECT_DOUBLE_EQ(y[0], 21.0);
+  EXPECT_DOUBLE_EQ(y[1], 7.0);
+}
+
 TEST(Csr, RejectsOutOfRange) {
   std::vector<Triplet> t{{5, 0, 1.0}};
   EXPECT_THROW(CsrMatrix(2, 2, t), InvalidArgument);

@@ -250,6 +250,58 @@ TEST(Reachability, MatchesReferenceWithPaddedMarkings) {
   EXPECT_TRUE(explore_like_reference(g, 2).capacity_clipped);
 }
 
+TEST(Reachability, MatchesReferenceWithTwoWordEnabledSets) {
+  // 70 transitions, so each state's enabled set spans two 64-bit words: a
+  // 70-ring of flow places holding two tokens, one of them about to cross
+  // from transition 63 into 64, with a marked self-loop on every third
+  // transition. Capacity 1 clips when the tokens meet.
+  constexpr std::size_t kRing = 70;
+  TimedEventGraph g(1, kRing);
+  for (std::size_t t = 0; t < kRing; ++t)
+    g.add_transition(Transition{
+        .column = t, .duration = 1.0 + 0.125 * static_cast<double>(t % 5)});
+  for (std::size_t t = 0; t < kRing; t += 3)
+    g.add_place(Place{t, t, PlaceKind::kResource, 1});
+  for (std::size_t t = 0; t < kRing; ++t) {
+    const int tokens = (t == 10 || t == 62) ? 1 : 0;
+    g.add_place(Place{t, (t + 1) % kRing, PlaceKind::kFlow, tokens});
+  }
+  g.finalize();
+  ASSERT_GT(g.num_transitions(), 64u);
+  const auto chain = explore_like_reference(g, 1);
+  EXPECT_TRUE(chain.capacity_clipped);
+  EXPECT_GT(chain.num_states, 1000u);
+  EXPECT_TRUE(
+      std::any_of(chain.edges.begin(), chain.edges.end(),
+                  [](const CtmcEdge& e) { return e.transition >= 64; }));
+}
+
+TEST(Reachability, ResourcePlaceOverflowThrows) {
+  // Transition 0 is always enabled (a marked self-loop) and feeds a
+  // resource place that transition 1 drains. Breadth-first exploration
+  // reaches the marking where the place holds `place_capacity` tokens, and
+  // firing transition 0 there would break 1-safety.
+  TimedEventGraph g(1, 2);
+  g.add_transition(Transition{.duration = 1.0});
+  g.add_transition(Transition{.column = 1, .duration = 1.0});
+  g.add_place(Place{0, 0, PlaceKind::kResource, 1});
+  g.add_place(Place{0, 1, PlaceKind::kResource, 0});
+  g.finalize();
+  for (int capacity : {1, 8}) {
+    SCOPED_TRACE(capacity);
+    ReachabilityOptions options;
+    options.place_capacity = capacity;
+    try {
+      (void)explore_markings(g, {1.0, 1.0}, options);
+      FAIL() << "expected CapacityExceeded";
+    } catch (const CapacityExceeded& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "resource place exceeded capacity: the event graph violates "
+                "the expected 1-safety of serialization chains");
+    }
+  }
+}
+
 TEST(GeneralMethod, SingleServerRateIsLambda) {
   // One processor with exponential service at rate lambda, always busy:
   // throughput = lambda.

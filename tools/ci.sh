@@ -68,6 +68,20 @@ for config in "${configs[@]}"; do
     "./${build_dir}/bench_serve_load" --quick \
         --json "${build_dir}/BENCH_serve_load.json"
     grep -q '"identical_responses":true' "${build_dir}/BENCH_serve_load.json"
+    # The repository benchmark's correctness check: a short run of each
+    # gated workload, built from perfbench/ in its own build directory,
+    # checks every output against the stored perfbench/reference.txt. A
+    # result drift fails here, not only in the benchmark. Timings are not
+    # checked.
+    echo "==> ${config}: perfbench correctness (analyze_mix, simulate_replicated)"
+    cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-perfbench -j "${jobs}" --target perfbench
+    for workload in analyze_mix simulate_replicated; do
+      ./build-perfbench/perfbench --workload "${workload}" --seconds 1 \
+          --trace 0 --reference perfbench/reference.txt \
+        | tail -n 1 > "build-perfbench/${workload}.json"
+      python3 tools/check_perfbench.py "build-perfbench/${workload}.json"
+    done
     # The differential corpus slice already ran (and gated) as the
     # fuzz_smoke CTest above; re-emit its machine-readable report as a
     # build artifact next to the bench JSONs.
